@@ -10,7 +10,7 @@
 //	read_blif_mv <file.mv>          load a BLIF-MV design
 //	read_pif <file.pif>             load properties and fairness
 //	read_builtin <name>             load a bundled Table-1 design
-//	print_stats                     design + BDD statistics
+//	print_stats                     design, engine + BDD statistics
 //	compute_reach                   reachable-state count
 //	check_ctl [name]                model-check CTL properties
 //	lang_contain [name]             language containment checks
@@ -30,8 +30,8 @@
 // Flags: -image auto|monolithic|partitioned|clustered|iso selects the
 // image-computation engine (iso compiles clusters once per class of
 // isomorphic latch cones and instantiates replicas by variable
-// permutation; auto picks it whenever a design has enough replication
-// and the monolithic relation was not built); -reorder off|manual|auto selects
+// permutation; auto picks it whenever a design has enough replication,
+// and then never builds the monolithic relation); -reorder off|manual|auto selects
 // the dynamic-reordering policy
 // for designs loaded afterwards; -reorder-accel all|none|<list> toggles
 // the sifting accelerations (interaction-matrix fast swaps, lower-bound
@@ -68,6 +68,7 @@ import (
 	"hsis/internal/designs"
 	"hsis/internal/network"
 	"hsis/internal/quant"
+	"hsis/internal/reach"
 	"hsis/internal/refine"
 	"hsis/internal/sim"
 	"hsis/internal/telemetry"
@@ -325,7 +326,13 @@ func (sh *shell) exec(line string) error {
 		n := sh.w.Net
 		fmt.Fprintf(sh.out, "design %s: %d latches, %d state bits, %d tables, %d BDD nodes in manager\n",
 			sh.w.Name, len(n.Latches()), len(n.PSBits()), len(n.Conjuncts()), n.Manager().Size())
-		fmt.Fprintf(sh.out, "transition relation: %d BDD nodes\n", n.Manager().NodeCount(n.T))
+		fmt.Fprintf(sh.out, "image engine: %s (requested %s)\n",
+			reach.Resolve(n, sh.w.Engine()), sh.w.Engine())
+		if n.TBuilt() {
+			fmt.Fprintf(sh.out, "transition relation: %d BDD nodes\n", n.Manager().NodeCount(n.T))
+		} else {
+			fmt.Fprintln(sh.out, "transition relation: not built")
+		}
 		if s := n.IsoSummaryInfo(); s.Classes > 0 {
 			fmt.Fprintf(sh.out, "isomorphic cones: %d classes covering %d/%d latches, sizes %v\n",
 				s.Classes, s.Replicated, len(n.Latches()), s.Sizes)
@@ -563,7 +570,10 @@ func (sh *shell) exec(line string) error {
 				names[b] = fmt.Sprintf("%s[%d]", v.Name(), i)
 			}
 		}
-		roots := map[string]bdd.Ref{"T": n.T, "Init": n.Init}
+		roots := map[string]bdd.Ref{"Init": n.Init}
+		if n.TBuilt() {
+			roots["T"] = n.T
+		}
 		if err := n.Manager().WriteDot(f, names, roots); err != nil {
 			return err
 		}

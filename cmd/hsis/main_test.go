@@ -276,3 +276,41 @@ func TestShellSimStepWith(t *testing.T) {
 		t.Fatal("unknown variable should error")
 	}
 }
+
+// TestShellScaledDesignSkipsT drives a replicated design: auto resolves
+// to the iso engine, print_stats says so and reports T as not built,
+// write_dot leaves the T root out, and checking every property still
+// never builds T.
+func TestShellScaledDesignSkipsT(t *testing.T) {
+	dot := filepath.Join(t.TempDir(), "out.dot")
+	sh, buf := newTestShell()
+	out := run(t, sh, buf,
+		"read_builtin philos-4",
+		"print_stats",
+		"write_dot "+dot,
+		"check_all",
+		"print_stats",
+	)
+	for _, want := range []string{
+		"image engine: iso (requested auto)",
+		"transition relation: not built",
+	} {
+		if strings.Count(out, want) != 2 {
+			t.Errorf("output should say %q before and after check_all:\n%s", want, out)
+		}
+	}
+	data, err := os.ReadFile(dot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "root_Init") || strings.Contains(string(data), "root_T ") {
+		t.Fatalf("dot roots should be Init only:\n%s", data)
+	}
+
+	sh, buf = newTestShell()
+	out = run(t, sh, buf, "read_builtin pingpong", "print_stats")
+	if !strings.Contains(out, "image engine: monolithic (requested auto)") ||
+		!strings.Contains(out, "transition relation: ") || strings.Contains(out, "not built") {
+		t.Fatalf("pingpong should build T under auto:\n%s", out)
+	}
+}

@@ -46,6 +46,7 @@ func Compute(n *network.Network, obs []bdd.Ref) *Relation {
 	m := n.Manager()
 	id := shadowCounter.Add(1)
 	r := &Relation{N: n}
+	n.EnsureT() // the refinement quantifies universally over T's successors
 	// Shadow rails.
 	for _, v := range n.PSVars() {
 		r.shPS = append(r.shPS, n.Space().NewVar(shadowName(v.Name(), "ps", id), v.Card()))

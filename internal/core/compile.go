@@ -146,13 +146,11 @@ func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 	nopts := network.Options{
 		Heuristic:           opts.Heuristic,
 		NaiveQuantification: opts.NaiveQuantification,
-		SkipMonolithic: opts.ConeOfInfluence ||
-			(engine != reach.EngineAuto && engine != reach.EngineMonolithic),
-		AutoReorder:    opts.Reorder == "auto",
-		ReorderOpts:    ropts,
-		ReorderTrigger: opts.ReorderTrigger,
-		Order:          d.staticOrder,
-		Telemetry:      opts.Telemetry,
+		AutoReorder:         opts.Reorder == "auto",
+		ReorderOpts:         ropts,
+		ReorderTrigger:      opts.ReorderTrigger,
+		Order:               d.staticOrder,
+		Telemetry:           opts.Telemetry,
 	}
 	if opts.AppendedOrder {
 		nopts.Order = d.appendedOrder()
@@ -169,12 +167,9 @@ func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 			return nil, err
 		}
 	}
-	net, err := network.Build(d.flat, nopts)
+	net, err := buildNetwork(d.flat, nopts, engine, opts.Workers)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Workers > 1 {
-		net.Manager().SetWorkers(opts.Workers)
 	}
 	w := &Workspace{
 		Name:         d.Name,
@@ -200,4 +195,29 @@ func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 	}
 	w.ReadTime = d.FrontendTime + time.Since(start)
 	return w, nil
+}
+
+// buildNetwork compiles a flat model for a workspace with the given
+// image engine. It decides, in one place for full designs and
+// cone-of-influence reductions alike, whether to multiply out the
+// monolithic T: only for the monolithic engine, and for auto when the
+// design has too little replication for the iso pipeline to pay
+// (network.IsoWorthwhile). On a replicated design every layer — images,
+// the edge-restricted CTL operators, language-containment products —
+// replays iso plans instead, and T, by far the largest BDD such a
+// design ever builds, is never formed. On the others T is small and its
+// single AndExists per image beats any plan replay.
+func buildNetwork(flat *blifmv.Model, nopts network.Options, engine reach.EngineKind, workers int) (*network.Network, error) {
+	nopts.SkipMonolithic = true
+	net, err := network.Build(flat, nopts)
+	if err != nil {
+		return nil, err
+	}
+	if engine == reach.EngineMonolithic || (engine == reach.EngineAuto && !net.IsoWorthwhile()) {
+		net.EnsureT()
+	}
+	if workers > 1 {
+		net.Manager().SetWorkers(workers)
+	}
+	return net, nil
 }

@@ -72,11 +72,12 @@ type Options struct {
 	// static interacting-FSM order is used. SaveOrder writes the file.
 	OrderFile string
 	// Image selects the image-computation engine for reachability and
-	// invariance checking: "" or "auto" (monolithic when T is built, iso
-	// when the design has replicated latch cones, clustered otherwise),
-	// "monolithic", "partitioned", "clustered", or "iso" (falls back to
-	// clustered on designs with no replication). Any engine other than
-	// auto/monolithic also skips the eager product-relation build.
+	// invariance checking: "" or "auto" (iso on designs with enough
+	// replicated latch cones, monolithic otherwise), "monolithic",
+	// "partitioned", "clustered", or "iso" (falls back to clustered on
+	// designs with no replication). The monolithic product relation T is
+	// built only when the resolved engine is monolithic; otherwise every
+	// check, CTL and language containment alike, replays image plans.
 	Image string
 	// Workers selects the BDD kernel's execution mode for every manager
 	// the workspace builds (including cone-of-influence reductions):
@@ -262,12 +263,9 @@ func (w *Workspace) coneWorkspace(observed []string) (*Workspace, *abstract.Resu
 		ReorderTrigger:      w.opts.ReorderTrigger,
 		Telemetry:           w.opts.Telemetry,
 	}
-	net, err := network.Build(res.Model, nopts)
+	net, err := buildNetwork(res.Model, nopts, w.engine, w.opts.Workers)
 	if err != nil {
 		return nil, nil, err
-	}
-	if w.opts.Workers > 1 {
-		net.Manager().SetWorkers(w.opts.Workers)
 	}
 	fc, err := lc.CompileFairness(net, w.fairSpecs)
 	if err != nil {
@@ -399,10 +397,8 @@ func (w *Workspace) CheckCTL(p pif.CTLProp) *PropertyResult {
 		}
 		// reduction unavailable or vacuous: fall through to the full model
 	}
-	// No EnsureT: invariance properties run entirely on the image engine
-	// (iso or clustered when the monolithic T was skipped); the fair-CTL
-	// route builds T lazily when it first needs an edge-restricted
-	// operator.
+	// Every CTL route, the fair edge-restricted operators included, runs
+	// on the workspace's image engine; nothing here builds T.
 	checker := ctl.NewForNetwork(w.Net, w.FC)
 	checker.Engine = w.engine
 	out := &PropertyResult{Name: p.Name, Kind: KindCTL, Formula: p.Formula}
@@ -465,7 +461,6 @@ func (w *Workspace) CheckLC(spec *pif.AutSpec) *PropertyResult {
 	// at a time. The expensive part — the emptiness check below — runs
 	// outside the lock.
 	w.compileMu.Lock()
-	w.Net.EnsureT()
 	a, err := lc.Compile(w.Net, spec)
 	if err != nil {
 		w.compileMu.Unlock()
@@ -502,13 +497,6 @@ func (w *Workspace) VerifyAll() []*PropertyResult {
 	out := make([]*PropertyResult, nLC+len(w.CTLProps))
 	m := w.Net.Manager()
 	if m.Workers() > 1 && len(out) > 1 {
-		// Build T up front: every LC product conjoins it, and doing it
-		// once here keeps the parallel section free of the big
-		// single-threaded build (EnsureT itself is mutex-guarded, so
-		// this is purely a scheduling choice).
-		if nLC > 0 {
-			w.Net.EnsureT()
-		}
 		tasks := make([]func(), 0, len(out))
 		for i, a := range w.Automata {
 			i, a := i, a

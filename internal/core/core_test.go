@@ -220,3 +220,51 @@ func TestVerificationSurvivesGC(t *testing.T) {
 		}
 	}
 }
+
+// TestAutoBuildsTOnlyWithoutReplication pins the auto engine's rule:
+// at default options a replicated design (philos-16) is verified end
+// to end — reachability, CTL with fairness, language containment —
+// without ever building the monolithic T, while a design with little
+// replication (mdlc2) builds it. Verdicts on a smaller ring must match
+// the monolithic engine's.
+func TestAutoBuildsTOnlyWithoutReplication(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		wantT   bool
+	}{
+		{"philos-16", 2, false},
+		{"mdlc2", 1, true},
+	} {
+		w := loadDesign(t, tc.name, Options{Workers: tc.workers})
+		w.ReachableStatesExact()
+		for _, r := range w.VerifyAll() {
+			if r.Err != nil {
+				t.Fatalf("%s: %s: %v", tc.name, r.Name, r.Err)
+			}
+		}
+		if got := w.Net.TBuilt(); got != tc.wantT {
+			t.Errorf("%s at default options: TBuilt() = %v, want %v", tc.name, got, tc.wantT)
+		}
+	}
+	for _, name := range []string{"philos-4", "scheduler-8"} {
+		auto := loadDesign(t, name, Options{})
+		mono := loadDesign(t, name, Options{Image: "monolithic"})
+		if auto.Net.TBuilt() || !mono.Net.TBuilt() {
+			t.Fatalf("%s: TBuilt auto=%v monolithic=%v", name, auto.Net.TBuilt(), mono.Net.TBuilt())
+		}
+		if a, m := auto.ReachableStatesExact(), mono.ReachableStatesExact(); a.Cmp(m) != 0 {
+			t.Fatalf("%s: auto reached %v states, monolithic %v", name, a, m)
+		}
+		ra, rm := auto.VerifyAll(), mono.VerifyAll()
+		for i := range ra {
+			if ra[i].Err != nil || rm[i].Err != nil || ra[i].Pass != rm[i].Pass {
+				t.Fatalf("%s: %s: auto pass=%v (%v), monolithic pass=%v (%v)",
+					name, ra[i].Name, ra[i].Pass, ra[i].Err, rm[i].Pass, rm[i].Err)
+			}
+		}
+		if auto.Net.TBuilt() {
+			t.Fatalf("%s: verification under auto built T", name)
+		}
+	}
+}

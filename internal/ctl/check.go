@@ -264,8 +264,12 @@ func (c *Checker) satEU(l, r Formula) (bdd.Ref, error) {
 		ny := m.Or(y, m.And(p, c.S.Pre(y)))
 		if t != nil {
 			iter++
-			sp.End(telemetry.Int("iter", iter),
-				telemetry.Int("y_nodes", m.NodeCount(ny)))
+			if t.Traced() {
+				sp.End(telemetry.Int("iter", iter),
+					telemetry.Int("y_nodes", m.NodeCount(ny)))
+			} else {
+				sp.End(telemetry.Int("iter", iter))
+			}
 		}
 		if ny == y {
 			return y, nil

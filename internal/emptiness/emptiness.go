@@ -127,9 +127,11 @@ func FairStates(s sys.System, fc *fair.Constraints, restrict bdd.Ref) Result {
 				}
 			}
 		}
-		if t != nil {
+		if t.Traced() {
 			sp.End(telemetry.Int("iter", iter),
 				telemetry.Int("z_nodes", m.NodeCount(z)))
+		} else {
+			sp.End(telemetry.Int("iter", iter))
 		}
 		if z == old {
 			return Result{Fair: z, Iterations: iter}

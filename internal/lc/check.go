@@ -4,6 +4,7 @@ import (
 	"hsis/internal/bdd"
 	"hsis/internal/emptiness"
 	"hsis/internal/fair"
+	"hsis/internal/reach"
 	"hsis/internal/sys"
 	"hsis/internal/telemetry"
 )
@@ -101,9 +102,7 @@ func boundedReached(s sys.System, k int) bdd.Ref {
 		frontier = m.Diff(next, reached)
 		reached = m.Or(reached, frontier)
 		if t != nil {
-			sp.End(telemetry.Int("step", i+1),
-				telemetry.Int("frontier_nodes", m.NodeCount(frontier)),
-				telemetry.Int("reached_nodes", m.NodeCount(reached)))
+			sp.End(reach.IterFields(m, i+1, frontier, reached)...)
 		}
 	}
 	return reached

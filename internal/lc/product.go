@@ -11,7 +11,6 @@ import (
 	"hsis/internal/network"
 	"hsis/internal/pif"
 	"hsis/internal/quant"
-	"hsis/internal/reach"
 )
 
 // Product is the synchronous product of a design with a property
@@ -25,16 +24,17 @@ type Product struct {
 
 	APS, ANS *mdd.Var // automaton present/next state variables
 	Delta    bdd.Ref  // automaton transition relation δ(x, a, a')
-	T        bdd.Ref  // product transition relation
-	init     bdd.Ref
+	// T is the monolithic product relation T ∧ δ, built only when the
+	// design's T is (bdd.False otherwise: the plans below stand in).
+	T    bdd.Ref
+	init bdd.Ref
 
 	psBits, nsBits []int
 	perm           []int
 
-	// Precompiled clustered image pipeline over the design's clusters
-	// plus δ; selected by SetEngine(reach.EngineClustered).
+	// Precompiled image pipeline over the design's image clusters plus
+	// δ, compiled instead of T when the design's T is not built.
 	imgPlan, prePlan *quant.CompiledPlan
-	engine           reach.EngineKind
 }
 
 // productCounter disambiguates product state-variable names. Atomic:
@@ -60,7 +60,7 @@ func NewProduct(n *network.Network, a *Automaton) *Product {
 		N: n, A: a,
 		APS: aps, ANS: ans,
 		Delta: delta,
-		T:     m.And(n.T, delta),
+		T:     bdd.False,
 		init:  m.And(n.Init, aps.Eq(a.Init)),
 	}
 	p.psBits = append(append([]int(nil), n.PSBits()...), aps.Bits()...)
@@ -68,23 +68,24 @@ func NewProduct(n *network.Network, a *Automaton) *Product {
 	psv := append(append([]*mdd.Var(nil), n.PSVars()...), aps)
 	nsv := append(append([]*mdd.Var(nil), n.NSVars()...), ans)
 	p.perm = n.Space().Permutation(psv, nsv)
+	if n.TBuilt() {
+		p.T = m.And(n.T, delta)
+	} else {
+		p.compilePlans()
+	}
 	m.IncRef(p.T)
 	m.IncRef(p.init)
-	p.compilePlans()
 	return p
 }
 
-// compilePlans freezes the product-level clustered schedules: the
-// design's cluster conjuncts plus δ, quantifying the product rails and
-// every non-rail variable. Compilation is support-only and cheap; the
-// plans are used when SetEngine selects the clustered engine.
+// compilePlans freezes the product-level schedules: the design's image
+// clusters (the iso-instantiated ones on replicated designs) plus δ,
+// quantifying the product rails and every non-rail variable. δ mentions
+// only rail variables (guards are present-state labels), so the plans
+// compute exactly the steps of T ∧ δ without ever forming it.
 func (p *Product) compilePlans() {
 	m := p.Manager()
-	clusters := p.N.ClusterConjuncts()
-	if len(clusters) == 0 {
-		return
-	}
-	conjs := append(append([]quant.Conjunct(nil), clusters...),
+	conjs := append(append([]quant.Conjunct(nil), p.N.ImageClusters()...),
 		quant.Conjunct{F: p.Delta, Support: m.Support(p.Delta)})
 	rail := make(map[int]bool, len(p.psBits)+len(p.nsBits))
 	for _, b := range p.psBits {
@@ -107,14 +108,6 @@ func (p *Product) compilePlans() {
 	p.prePlan.Retain(m)
 }
 
-// SetEngine selects the Post/Pre strategy for the product fixpoints:
-// reach.EngineClustered replays the precompiled plans, anything else
-// uses the monolithic product relation (the default — the product T is
-// always built, since the edge-restricted emptiness operators need it).
-func (p *Product) SetEngine(kind reach.EngineKind) {
-	p.engine = kind
-}
-
 // Manager returns the shared BDD manager.
 func (p *Product) Manager() *bdd.Manager { return p.N.Manager() }
 
@@ -127,46 +120,45 @@ func (p *Product) StateBits() []int { return p.psBits }
 // SwapRails exchanges present- and next-state rails of the product.
 func (p *Product) SwapRails(f bdd.Ref) bdd.Ref { return p.Manager().Permute(f, p.perm) }
 
-// Post returns the successors of s in the product.
-func (p *Product) Post(s bdd.Ref) bdd.Ref {
+// post conjoins seed with the product relation and quantifies the
+// non-rail variables and the present-state rail; pre is the same for
+// the next-state rail. Neither touches the opposite rail, so an edge
+// predicate conjoined into the seed restricts the step exactly.
+func (p *Product) post(seed bdd.Ref) bdd.Ref {
 	m := p.Manager()
-	if p.engine == reach.EngineClustered && p.imgPlan != nil {
-		return p.SwapRails(p.imgPlan.Run(m, s))
+	if p.imgPlan != nil {
+		return p.imgPlan.Run(m, seed)
 	}
-	next := m.AndExists(p.T, s, m.Cube(p.psBits))
-	return p.SwapRails(next)
+	return m.AndExists(p.T, seed, m.Cube(p.psBits))
 }
 
-// Pre returns the predecessors of s in the product.
-func (p *Product) Pre(s bdd.Ref) bdd.Ref {
+func (p *Product) pre(seed bdd.Ref) bdd.Ref {
 	m := p.Manager()
-	if p.engine == reach.EngineClustered && p.prePlan != nil {
-		return p.prePlan.Run(m, p.SwapRails(s))
+	if p.prePlan != nil {
+		return p.prePlan.Run(m, seed)
 	}
-	return m.AndExists(p.T, p.SwapRails(s), m.Cube(p.nsBits))
+	return m.AndExists(p.T, seed, m.Cube(p.nsBits))
 }
+
+// Post returns the successors of s in the product.
+func (p *Product) Post(s bdd.Ref) bdd.Ref { return p.SwapRails(p.post(s)) }
+
+// Pre returns the predecessors of s in the product.
+func (p *Product) Pre(s bdd.Ref) bdd.Ref { return p.pre(p.SwapRails(s)) }
 
 // PreVia returns predecessors through the restricted edge set.
 func (p *Product) PreVia(edges, s bdd.Ref) bdd.Ref {
-	m := p.Manager()
-	t := m.And(p.T, edges)
-	return m.AndExists(t, p.SwapRails(s), m.Cube(p.nsBits))
+	return p.pre(p.Manager().And(edges, p.SwapRails(s)))
 }
 
 // PostVia returns successors through the restricted edge set.
 func (p *Product) PostVia(edges, s bdd.Ref) bdd.Ref {
-	m := p.Manager()
-	t := m.And(p.T, edges)
-	next := m.AndExists(t, s, m.Cube(p.psBits))
-	return p.SwapRails(next)
+	return p.SwapRails(p.post(p.Manager().And(edges, s)))
 }
 
 // EdgeSources returns the states of z with an out-edge in edges into z.
 func (p *Product) EdgeSources(edges, z bdd.Ref) bdd.Ref {
-	m := p.Manager()
-	t := m.AndN(p.T, edges, p.SwapRails(z))
-	src := m.Exists(t, m.Cube(p.nsBits))
-	return m.And(src, z)
+	return p.Manager().And(p.PreVia(edges, z), z)
 }
 
 // EdgeSet returns the edge predicate of one automaton edge inside the

@@ -584,6 +584,19 @@ func (n *Network) IsoPreimagePlan() *quant.CompiledPlan {
 	return n.ensureIsoPlans().prePlan
 }
 
+// ImageClusters returns the clustered partitioned transition relation
+// the default image engine replays: the iso-instantiated clusters when
+// IsoWorthwhile, the plain clusters (ClusterConjuncts) otherwise. On a
+// replicated design this is far cheaper to compile than plain
+// clustering, which merges every replica's conjuncts from scratch.
+// The same caveats as ClusterConjuncts apply.
+func (n *Network) ImageClusters() []quant.Conjunct {
+	if n.IsoWorthwhile() {
+		return n.ensureIsoPlans().clusters
+	}
+	return n.ClusterConjuncts()
+}
+
 // IsoSummaryInfo reports detection results (classes sorted largest
 // first) for stats and CLI output.
 func (n *Network) IsoSummaryInfo() IsoSummary {

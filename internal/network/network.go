@@ -114,8 +114,8 @@ type Network struct {
 	planEpoch    int // Manager.ReorderCount() when the plans were compiled
 	clusterLimit int
 
-	// Reusable operand buffers for the per-call partitioned engine, so
-	// ImagePartitioned/PreimagePartitioned allocate nothing per call.
+	// Reusable operand buffers, so the per-call partitioned engine
+	// allocates no operand slices per image.
 	imgConjs, preConjs []quant.Conjunct
 	imgQVars, preQVars []int
 
@@ -136,6 +136,8 @@ type Network struct {
 	// concurrent property checks may poll TBuilt without the lock.
 	tMu    sync.Mutex
 	tBuilt atomic.Bool
+
+	labels labelCones // cone-local LabelEq state (label.go)
 }
 
 // Build compiles a flat model. The model must contain at least one latch
@@ -603,46 +605,6 @@ func (n *Network) NumStates(set bdd.Ref) float64 {
 // math/big count of states in a set over the present-state rail.
 func (n *Network) NumStatesExact(set bdd.Ref) *big.Int {
 	return n.mgr.SatCountExact(set, len(n.psBits))
-}
-
-// LabelEq returns the present-state label of the condition
-// <name> == <value>. For a state variable this is the plain equality;
-// for a combinational or input variable it is the set of states where
-// the network *can* produce that value in the current step (the
-// relations constrain the variable, inputs and other intermediates are
-// existentially quantified).
-func (n *Network) LabelEq(name, value string) (bdd.Ref, error) {
-	v := n.space.ByName(name)
-	if v == nil {
-		return bdd.False, fmt.Errorf("network: unknown variable %q", name)
-	}
-	mv := n.model.Var(name)
-	if mv == nil {
-		// Only auxiliary $ns rail variables exist in the space but not in
-		// a sealed model; properties cannot meaningfully observe them.
-		return bdd.False, fmt.Errorf("network: %q is not a model variable", name)
-	}
-	idx := mv.ValueIndex(value)
-	if idx < 0 {
-		return bdd.False, fmt.Errorf("network: %q is not a value of %s", value, name)
-	}
-	if n.isPSVar(v) {
-		return v.Eq(idx), nil
-	}
-	// quantify everything but the PS rail out of (relations ∧ v=idx)
-	conjs := append(append([]quant.Conjunct(nil), n.conjuncts...),
-		quant.Conjunct{F: v.Eq(idx), Support: v.Bits()})
-	var qvars []int
-	ps := make(map[int]bool, len(n.psBits))
-	for _, b := range n.psBits {
-		ps[b] = true
-	}
-	for b := 0; b < n.mgr.NumVars(); b++ {
-		if !ps[b] {
-			qvars = append(qvars, b)
-		}
-	}
-	return quant.AndExists(n.mgr, conjs, qvars, n.heur), nil
 }
 
 func (n *Network) isPSVar(v *mdd.Var) bool {

@@ -283,19 +283,28 @@ func (p *CompiledPlan) Run(m *bdd.Manager, seed bdd.Ref) bdd.Ref {
 		}
 		return r
 	}
+	traced := t.Traced()
 	sp := t.Start("quant.image")
 	r := seed
 	for i, st := range p.Steps {
 		csp := t.Start("quant.cluster")
 		r = m.AndExists(r, st.F, st.Cube)
-		csp.End(telemetry.Int("step", i+1),
-			telemetry.Int("result_nodes", m.NodeCount(r)))
+		if traced {
+			csp.End(telemetry.Int("step", i+1),
+				telemetry.Int("result_nodes", m.NodeCount(r)))
+		} else {
+			csp.End(telemetry.Int("step", i+1))
+		}
 	}
 	if p.Tail != bdd.True {
 		r = m.Exists(r, p.Tail)
 	}
-	sp.End(telemetry.Int("steps", len(p.Steps)),
-		telemetry.Int("result_nodes", m.NodeCount(r)))
+	if traced {
+		sp.End(telemetry.Int("steps", len(p.Steps)),
+			telemetry.Int("result_nodes", m.NodeCount(r)))
+	} else {
+		sp.End(telemetry.Int("steps", len(p.Steps)))
+	}
 	return r
 }
 

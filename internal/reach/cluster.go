@@ -4,14 +4,15 @@ package reach
 // fixpoint in the repository (reachability, CTL, language containment)
 // computes images and preimages through an ImageEngine, selecting the
 // monolithic product relation, the per-call-scheduled partitioned
-// relation, or the precompiled clustered pipeline. Clustered is the
-// default whenever the monolithic relation has not been built — it
-// replays a schedule frozen at network.Build time and performs no
-// per-call scheduling work.
+// relation, the precompiled clustered pipeline, or its iso-compiled
+// variant. Iso or clustered is the default whenever the monolithic
+// relation has not been built — each replays a schedule compiled once
+// per network and performs no per-call scheduling work.
 
 import (
 	"hsis/internal/bdd"
 	"hsis/internal/network"
+	"hsis/internal/quant"
 )
 
 // EngineKind selects an image-computation strategy.
@@ -73,92 +74,100 @@ func ParseEngineKind(s string) (EngineKind, bool) {
 }
 
 // ImageEngine computes successor and predecessor sets over a network's
-// present-state rail.
+// present-state rail, optionally restricted to an edge predicate.
 type ImageEngine interface {
 	Kind() EngineKind
 	Image(s bdd.Ref) bdd.Ref
 	Preimage(s bdd.Ref) bdd.Ref
+	// ImageVia returns the successors of s through the transitions
+	// satisfying edges (a predicate over the PS and NS rails).
+	ImageVia(edges, s bdd.Ref) bdd.Ref
+	// PreimageVia returns the predecessors of s through the transitions
+	// satisfying edges.
+	PreimageVia(edges, s bdd.Ref) bdd.Ref
 }
 
-// Engine binds an engine of the given kind to a network. EngineAuto
-// resolves to monolithic when T is already built (it is paid for; reuse
-// it); otherwise to iso when the network has enough replicated latch
-// cones to profit from per-class compilation, and to the clustered
-// pipeline if not — SkipMonolithic networks never multiply out the
-// product relation just to take images.
-func Engine(n *network.Network, kind EngineKind) ImageEngine {
-	if kind == EngineAuto {
+// Resolve returns the kind of engine Engine binds for the request.
+// EngineAuto resolves to monolithic when T is already built (it is paid
+// for; reuse it); otherwise to iso when the network has enough
+// replicated latch cones to profit from per-class compilation, and to
+// the clustered pipeline if not — SkipMonolithic networks never
+// multiply out the product relation just to take images. EngineIso
+// degrades to clustered on a network with no replication.
+func Resolve(n *network.Network, kind EngineKind) EngineKind {
+	switch kind {
+	case EngineAuto:
 		switch {
 		case n.TBuilt():
-			kind = EngineMonolithic
+			return EngineMonolithic
 		case n.IsoWorthwhile():
-			kind = EngineIso
+			return EngineIso
 		default:
-			kind = EngineClustered
+			return EngineClustered
 		}
-	}
-	switch kind {
-	case EnginePartitioned:
-		return partitionedEngine{n}
 	case EngineIso:
-		if n.IsoImagePlan() != nil {
-			return isoEngine{n}
+		if !n.IsoAvailable() {
+			return EngineClustered
 		}
-		fallthrough // no replication detected: degrade to clustered
+	}
+	return kind
+}
+
+// Engine binds an engine of the given kind (see Resolve) to a network.
+func Engine(n *network.Network, kind EngineKind) ImageEngine {
+	m := n.Manager()
+	switch kind = Resolve(n, kind); kind {
+	case EnginePartitioned:
+		return &engine{n: n, kind: kind,
+			post: func(seed bdd.Ref) bdd.Ref {
+				conjs, qvars := n.ImageOperands(seed)
+				return quant.AndExists(m, conjs, qvars, n.Heuristic())
+			},
+			pre: func(seed bdd.Ref) bdd.Ref {
+				conjs, qvars := n.PreimageOperands(seed)
+				return quant.AndExists(m, conjs, qvars, n.Heuristic())
+			}}
+	case EngineIso:
+		return &engine{n: n, kind: kind,
+			post: func(seed bdd.Ref) bdd.Ref { return n.IsoImagePlan().Run(m, seed) },
+			pre:  func(seed bdd.Ref) bdd.Ref { return n.IsoPreimagePlan().Run(m, seed) }}
 	case EngineClustered:
-		if n.ImagePlan() != nil {
-			return clusteredEngine{n}
-		}
-		return partitionedEngine{n} // no plan compiled: degrade gracefully
+		return &engine{n: n, kind: kind,
+			post: func(seed bdd.Ref) bdd.Ref { return n.ImagePlan().Run(m, seed) },
+			pre:  func(seed bdd.Ref) bdd.Ref { return n.PreimagePlan().Run(m, seed) }}
 	default:
-		return monolithicEngine{n}
+		return &engine{n: n, kind: EngineMonolithic,
+			post: func(seed bdd.Ref) bdd.Ref {
+				n.EnsureT()
+				return m.AndExists(n.T, seed, n.PSCube())
+			},
+			pre: func(seed bdd.Ref) bdd.Ref {
+				n.EnsureT()
+				return m.AndExists(n.T, seed, n.NSCube())
+			}}
 	}
 }
 
-type monolithicEngine struct{ n *network.Network }
-
-func (e monolithicEngine) Kind() EngineKind { return EngineMonolithic }
-func (e monolithicEngine) Image(s bdd.Ref) bdd.Ref {
-	e.n.EnsureT()
-	return Image(e.n, s)
-}
-func (e monolithicEngine) Preimage(s bdd.Ref) bdd.Ref {
-	e.n.EnsureT()
-	return Preimage(e.n, s)
-}
-
-type partitionedEngine struct{ n *network.Network }
-
-func (e partitionedEngine) Kind() EngineKind           { return EnginePartitioned }
-func (e partitionedEngine) Image(s bdd.Ref) bdd.Ref    { return ImagePartitioned(e.n, s) }
-func (e partitionedEngine) Preimage(s bdd.Ref) bdd.Ref { return PreimagePartitioned(e.n, s) }
-
-type clusteredEngine struct{ n *network.Network }
-
-func (e clusteredEngine) Kind() EngineKind           { return EngineClustered }
-func (e clusteredEngine) Image(s bdd.Ref) bdd.Ref    { return ImageClustered(e.n, s) }
-func (e clusteredEngine) Preimage(s bdd.Ref) bdd.Ref { return PreimageClustered(e.n, s) }
-
-type isoEngine struct{ n *network.Network }
-
-func (e isoEngine) Kind() EngineKind { return EngineIso }
-func (e isoEngine) Image(s bdd.Ref) bdd.Ref {
-	next := e.n.IsoImagePlan().Run(e.n.Manager(), s)
-	return e.n.SwapRails(next)
-}
-func (e isoEngine) Preimage(s bdd.Ref) bdd.Ref {
-	return e.n.IsoPreimagePlan().Run(e.n.Manager(), e.n.SwapRails(s))
+// engine is every ImageEngine: post and pre conjoin a seed with the
+// transition relation and quantify the non-state variables plus the
+// source rail (PS for post, NS for pre). Since they quantify nothing on
+// the other rail, an edge predicate over PS ∪ NS conjoined into the
+// seed restricts the step exactly — the edge operators replay the same
+// plans as plain images and never need the monolithic T.
+type engine struct {
+	n         *network.Network
+	kind      EngineKind
+	post, pre func(seed bdd.Ref) bdd.Ref
 }
 
-// ImageClustered computes successors by replaying the network's
-// precompiled clustered plan: one AndExists per cluster, each with a
-// cube frozen at Build time.
-func ImageClustered(n *network.Network, s bdd.Ref) bdd.Ref {
-	next := n.ImagePlan().Run(n.Manager(), s)
-	return n.SwapRails(next)
+func (e *engine) Kind() EngineKind           { return e.kind }
+func (e *engine) Image(s bdd.Ref) bdd.Ref    { return e.n.SwapRails(e.post(s)) }
+func (e *engine) Preimage(s bdd.Ref) bdd.Ref { return e.pre(e.n.SwapRails(s)) }
+
+func (e *engine) ImageVia(edges, s bdd.Ref) bdd.Ref {
+	return e.n.SwapRails(e.post(e.n.Manager().And(edges, s)))
 }
 
-// PreimageClustered is the clustered counterpart of Preimage.
-func PreimageClustered(n *network.Network, s bdd.Ref) bdd.Ref {
-	return n.PreimagePlan().Run(n.Manager(), n.SwapRails(s))
+func (e *engine) PreimageVia(edges, s bdd.Ref) bdd.Ref {
+	return e.pre(e.n.Manager().And(edges, e.n.SwapRails(s)))
 }

@@ -8,41 +8,19 @@ package reach
 import (
 	"hsis/internal/bdd"
 	"hsis/internal/network"
-	"hsis/internal/quant"
 	"hsis/internal/telemetry"
 )
 
 // Image computes the successors of the state set s (over the PS rail)
-// using the monolithic product transition relation.
+// using the monolithic product transition relation (built on demand).
 func Image(n *network.Network, s bdd.Ref) bdd.Ref {
-	m := n.Manager()
-	next := m.AndExists(n.T, s, n.PSCube())
-	return n.SwapRails(next)
+	return Engine(n, EngineMonolithic).Image(s)
 }
 
 // Preimage computes the predecessors of the state set s (over the PS
 // rail) using the monolithic product transition relation.
 func Preimage(n *network.Network, s bdd.Ref) bdd.Ref {
-	m := n.Manager()
-	return m.AndExists(n.T, n.SwapRails(s), n.NSCube())
-}
-
-// ImagePartitioned computes successors without ever forming the product
-// transition relation: the state set joins the per-table conjuncts and
-// one early-quantification pass eliminates present-state and non-state
-// variables together. The operand slices are buffers owned by the
-// network, so repeated calls allocate nothing; the schedule itself is
-// still derived per call (see ImageClustered for the precompiled form).
-func ImagePartitioned(n *network.Network, s bdd.Ref) bdd.Ref {
-	conjs, qvars := n.ImageOperands(s)
-	next := quant.AndExists(n.Manager(), conjs, qvars, n.Heuristic())
-	return n.SwapRails(next)
-}
-
-// PreimagePartitioned is the partitioned counterpart of Preimage.
-func PreimagePartitioned(n *network.Network, s bdd.Ref) bdd.Ref {
-	conjs, qvars := n.PreimageOperands(n.SwapRails(s))
-	return quant.AndExists(n.Manager(), conjs, qvars, n.Heuristic())
+	return Engine(n, EngineMonolithic).Preimage(s)
 }
 
 // Options controls a reachability run.
@@ -100,14 +78,18 @@ func ForwardFrom(n *network.Network, from bdd.Ref, opts Options) *Result {
 	frontier := from
 	t := m.Telemetry()
 	if t != nil {
-		t.Emit("reach.start",
-			telemetry.Str("engine", eng.Kind().String()),
-			telemetry.Int("init_nodes", m.NodeCount(from)))
+		start := []telemetry.Field{telemetry.Str("engine", eng.Kind().String())}
+		if t.Traced() {
+			start = append(start, telemetry.Int("init_nodes", m.NodeCount(from)))
+		}
+		t.Emit("reach.start", start...)
 		defer func() {
-			t.Emit("reach.done",
-				telemetry.Int("steps", res.Steps),
-				telemetry.Bool("converged", res.Converged),
-				telemetry.Int("reached_nodes", m.NodeCount(res.Reached)))
+			done := []telemetry.Field{telemetry.Int("steps", res.Steps),
+				telemetry.Bool("converged", res.Converged)}
+			if t.Traced() {
+				done = append(done, telemetry.Int("reached_nodes", m.NodeCount(res.Reached)))
+			}
+			t.Emit("reach.done", done...)
 		}()
 	}
 	if opts.KeepRings {
@@ -154,18 +136,16 @@ func ForwardFrom(n *network.Network, from bdd.Ref, opts Options) *Result {
 		next := img(frontier)
 		frontier = m.Diff(next, res.Reached)
 		if frontier == bdd.False {
-			sp.End(telemetry.Int("step", res.Steps),
-				telemetry.Int("frontier_nodes", 0),
-				telemetry.Int("reached_nodes", m.NodeCount(res.Reached)))
+			if t != nil {
+				sp.End(IterFields(m, res.Steps, frontier, res.Reached)...)
+			}
 			res.Converged = true
 			return res
 		}
 		res.Reached = m.Or(res.Reached, frontier)
 		res.Steps++
 		if t != nil {
-			sp.End(telemetry.Int("step", res.Steps),
-				telemetry.Int("frontier_nodes", m.NodeCount(frontier)),
-				telemetry.Int("reached_nodes", m.NodeCount(res.Reached)))
+			sp.End(IterFields(m, res.Steps, frontier, res.Reached)...)
 		}
 		if opts.KeepRings {
 			res.Rings = append(res.Rings, frontier)
@@ -210,12 +190,28 @@ func Backward(n *network.Network, target, care bdd.Ref, kind EngineKind) bdd.Ref
 		reached = m.Or(reached, frontier)
 		if t != nil {
 			step++
-			sp.End(telemetry.Int("step", step),
-				telemetry.Int("frontier_nodes", m.NodeCount(frontier)),
-				telemetry.Int("reached_nodes", m.NodeCount(reached)))
+			sp.End(IterFields(m, step, frontier, reached)...)
 		}
 	}
 	return reached
+}
+
+// IterFields renders the fields of one fixpoint-iteration span: the
+// step, plus the frontier (0 once empty) and reached node counts when a
+// JSONL tracer is attached. A node count is one BDD traversal, so the
+// metrics and flight-recorder sinks (every hsisd job has both) never
+// pay for it.
+func IterFields(m *bdd.Manager, step int, frontier, reached bdd.Ref) []telemetry.Field {
+	if !m.Telemetry().Traced() {
+		return []telemetry.Field{telemetry.Int("step", step)}
+	}
+	fn := 0
+	if frontier != bdd.False {
+		fn = m.NodeCount(frontier)
+	}
+	return []telemetry.Field{telemetry.Int("step", step),
+		telemetry.Int("frontier_nodes", fn),
+		telemetry.Int("reached_nodes", m.NodeCount(reached))}
 }
 
 // EarlyFailure runs the bounded-depth property check of paper §5.4: take

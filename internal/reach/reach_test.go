@@ -110,11 +110,12 @@ func TestPartitionedMatchesMonolithic(t *testing.T) {
 	for _, src := range []string{counter4, gated5} {
 		n := compile(t, src, network.Options{})
 		s := n.VarByName("s")
+		part := Engine(n, EnginePartitioned)
 		for v := 0; v < s.Card(); v++ {
-			if Image(n, s.Eq(v)) != ImagePartitioned(n, s.Eq(v)) {
+			if Image(n, s.Eq(v)) != part.Image(s.Eq(v)) {
 				t.Fatalf("partitioned image differs at state %d", v)
 			}
-			if Preimage(n, s.Eq(v)) != PreimagePartitioned(n, s.Eq(v)) {
+			if Preimage(n, s.Eq(v)) != part.Preimage(s.Eq(v)) {
 				t.Fatalf("partitioned preimage differs at state %d", v)
 			}
 		}

@@ -24,6 +24,7 @@ import (
 type Simulator struct {
 	N *network.Network
 
+	eng     reach.ImageEngine
 	current bdd.Ref
 	history []bdd.Ref
 	steps   int
@@ -31,7 +32,8 @@ type Simulator struct {
 
 // New starts a session at the network's initial states.
 func New(n *network.Network) *Simulator {
-	return &Simulator{N: n, current: n.Manager().IncRef(n.Init)}
+	return &Simulator{N: n, eng: reach.Engine(n, reach.EngineAuto),
+		current: n.Manager().IncRef(n.Init)}
 }
 
 // Current returns the current state set.
@@ -45,7 +47,7 @@ func (s *Simulator) Count() float64 { return s.N.NumStates(s.current) }
 
 // Step advances the whole current set one clock tick.
 func (s *Simulator) Step() {
-	next := reach.Image(s.N, s.current)
+	next := s.eng.Image(s.current)
 	s.push()
 	s.current = s.N.Manager().IncRef(next)
 	s.emitStep(false)
@@ -69,12 +71,15 @@ func (s *Simulator) StepWith(constraint bdd.Ref) {
 
 // emitStep reports one simulator advance to the armed tracer.
 func (s *Simulator) emitStep(constrained bool) {
-	if t := s.N.Manager().Telemetry(); t != nil {
-		t.Emit("sim.step",
-			telemetry.Int("step", s.steps),
-			telemetry.Int("current_nodes", s.N.Manager().NodeCount(s.current)),
-			telemetry.Bool("constrained", constrained))
+	t := s.N.Manager().Telemetry()
+	if t == nil {
+		return
 	}
+	fields := []telemetry.Field{telemetry.Int("step", s.steps)}
+	if t.Traced() {
+		fields = append(fields, telemetry.Int("current_nodes", s.N.Manager().NodeCount(s.current)))
+	}
+	t.Emit("sim.step", append(fields, telemetry.Bool("constrained", constrained))...)
 }
 
 // Focus restricts the current set to its intersection with the given
@@ -143,6 +148,6 @@ func (s *Simulator) States(max int) []network.StateAssignment {
 // (useful to catch inconsistent table specifications).
 func (s *Simulator) Deadlocked() bdd.Ref {
 	m := s.N.Manager()
-	hasSucc := m.Exists(s.N.T, s.N.NSCube())
+	hasSucc := s.eng.Preimage(bdd.True)
 	return m.Diff(s.current, hasSucc)
 }

@@ -37,17 +37,17 @@ type System interface {
 	SwapRails(f bdd.Ref) bdd.Ref
 }
 
-// NetSystem adapts a compiled network to System. Plain Post/Pre route
-// through the network's image engine (clustered when the monolithic T
-// was skipped); the edge-restricted operators need the product relation
-// and build it lazily on first use.
+// NetSystem adapts a compiled network to System. Every operator routes
+// through the network's image engine: the edge-restricted ones conjoin
+// the edge predicate into the seed of a plain image or preimage, so a
+// network whose monolithic T was skipped never builds it here.
 type NetSystem struct {
 	N   *network.Network
 	eng reach.ImageEngine
 }
 
 // FromNetwork wraps a network as a System, binding the default image
-// engine (monolithic when T is built, clustered otherwise).
+// engine (monolithic when T is built, iso or clustered otherwise).
 func FromNetwork(n *network.Network) *NetSystem {
 	return &NetSystem{N: n, eng: reach.Engine(n, reach.EngineAuto)}
 }
@@ -78,28 +78,17 @@ func (s *NetSystem) Pre(set bdd.Ref) bdd.Ref { return s.engine().Preimage(set) }
 
 // PreVia returns predecessors through the restricted edge set.
 func (s *NetSystem) PreVia(edges, set bdd.Ref) bdd.Ref {
-	s.N.EnsureT()
-	m := s.N.Manager()
-	t := m.And(s.N.T, edges)
-	return m.AndExists(t, s.N.SwapRails(set), s.N.NSCube())
+	return s.engine().PreimageVia(edges, set)
 }
 
 // PostVia returns successors through the restricted edge set.
 func (s *NetSystem) PostVia(edges, set bdd.Ref) bdd.Ref {
-	s.N.EnsureT()
-	m := s.N.Manager()
-	t := m.And(s.N.T, edges)
-	next := m.AndExists(t, set, s.N.PSCube())
-	return s.N.SwapRails(next)
+	return s.engine().ImageVia(edges, set)
 }
 
 // EdgeSources returns the states of z with an out-edge in edges into z.
 func (s *NetSystem) EdgeSources(edges, z bdd.Ref) bdd.Ref {
-	s.N.EnsureT()
-	m := s.N.Manager()
-	t := m.AndN(s.N.T, edges, s.N.SwapRails(z))
-	src := m.Exists(t, s.N.NSCube())
-	return m.And(src, z)
+	return s.N.Manager().And(s.PreVia(edges, z), z)
 }
 
 // StateBits returns the present-state BDD variables.
@@ -126,9 +115,7 @@ func Reached(s System) bdd.Ref {
 		reached = m.Or(reached, frontier)
 		if t != nil {
 			step++
-			sp.End(telemetry.Int("step", step),
-				telemetry.Int("frontier_nodes", m.NodeCount(frontier)),
-				telemetry.Int("reached_nodes", m.NodeCount(reached)))
+			sp.End(reach.IterFields(m, step, frontier, reached)...)
 		}
 	}
 	return reached

@@ -57,6 +57,11 @@ func (sc *Scope) WithMetrics(ms *MetricSet) *Scope {
 	return sc
 }
 
+// Traced reports whether a JSONL tracer is attached. Event fields that
+// cost a BDD traversal (node counts) are computed only then: the
+// metrics and flight-recorder sinks never pay for them.
+func (sc *Scope) Traced() bool { return sc != nil && sc.tracer != nil }
+
 // Tracer returns the scope's tracer, or nil.
 func (sc *Scope) Tracer() *Tracer {
 	if sc == nil {

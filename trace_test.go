@@ -192,3 +192,35 @@ func TestTraceDisabledByDefault(t *testing.T) {
 		t.Fatal("verification run armed telemetry by itself")
 	}
 }
+
+// TestNodeCountsOnlyWhenTraced checks that a scope without a JSONL
+// tracer — the flight recorder every hsisd job carries — receives the
+// fixpoint and image-replay events without their node-count fields,
+// which cost one BDD traversal each. philos-4 runs T-free under auto,
+// so the iso plans' quant.cluster spans are among the events.
+func TestNodeCountsOnlyWhenTraced(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	sc := telemetry.NewScope(nil).WithRecorder(rec)
+	w := load2(t, "philos-4", core.Options{Telemetry: sc})
+	w.ReachableStatesExact()
+	w.VerifyAll()
+	kinds := map[string]bool{}
+	for _, line := range rec.Dump() {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("bad recorder line %q: %v", line, err)
+		}
+		kinds[m["ev"].(string)] = true
+		for k := range m {
+			if strings.HasSuffix(k, "_nodes") {
+				t.Fatalf("untraced scope recorded %s: %s", k, line)
+			}
+		}
+	}
+	// The ring keeps the last 256 events: CTL fixpoints and plan replays.
+	for _, want := range []string{"ctl.eu.iter", "quant.cluster"} {
+		if !kinds[want] {
+			t.Errorf("recorder saw no %s event (kinds: %v)", want, kinds)
+		}
+	}
+}
