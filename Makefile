@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test test-parallel test-server lint-metrics parallel-smoke bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke bench bench-server bench-reorder bench-parallel bench-iso bench-all
+.PHONY: check vet build test test-server lint-metrics bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke bench bench-server bench-reorder bench-iso bench-all
 
-check: vet build test test-parallel test-server lint-metrics parallel-smoke bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke
+check: vet build test test-server lint-metrics bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke
 
 vet:
 	$(GO) vet ./...
@@ -15,20 +15,12 @@ vet:
 build:
 	$(GO) build ./...
 
-# -race also exercises the telemetry layer: the tracer tests arm a
-# process-wide sink and run the sampler goroutine against kernel gauge
-# publications, so a data race between the kernel and the sampler fails
-# here.
+# -race covers what still runs concurrently: the hsisd job pool and the
+# telemetry layer (the tracer tests arm a process-wide sink and run the
+# sampler goroutine against kernel gauge publications, so a data race
+# between a job and the sampler fails here).
 test:
 	$(GO) test -race ./...
-
-# The parallel-kernel shard: the concurrent differential fuzzer and
-# kernel pool tests under -race at workers=4, plus the cross-design
-# determinism suite at workers=1/2/8 — the full stack (fixpoints, CTL,
-# language containment) running on a live worker pool with GC and
-# auto-reorder epochs armed.
-test-parallel:
-	$(GO) test -race -run 'Parallel|Concurrent|Workers' ./internal/bdd .
 
 # The daemon shard: the hsisd job server under -race — fair-queue
 # dispatch, admission control (429), artifact-cache sharing across
@@ -43,14 +35,6 @@ test-server:
 # registered exactly once (duplicates also panic at construction).
 lint-metrics:
 	$(GO) test -run 'TestMetricsNameLint' -count=1 ./internal/server
-
-# Parallel-kernel smoke gate: a short mdlc2 reachability at workers=1
-# and workers=4 must agree exactly, and on a multi-core host the
-# workers=4 run may not be >5% slower than workers=1 (the timing clause
-# is skipped under -short and on single-CPU runners, where workers>=2
-# measures scheduling overhead rather than speedup).
-parallel-smoke:
-	$(GO) test -run 'TestParallelSmoke' -count=1 .
 
 # End-to-end traced run: reachability plus a property check on a bundled
 # design with -trace, verifying the shell emits a parseable JSONL trace
@@ -76,7 +60,7 @@ bench-smoke:
 # the unified Statistics.BenchMetrics set (peak-live-nodes,
 # peak-bdd-nodes, cache-hit-%), so benchjson lands the telemetry
 # summary's headline numbers in the JSON alongside ns/op.
-bench: bench-server bench-parallel
+bench: bench-server
 	$(GO) test -bench='(BenchmarkImage|BenchmarkNegationHeavy)$$' -benchmem -benchtime=3x -run='^$$' . \
 		| tee /dev/stderr \
 		| $(GO) run ./internal/tools/benchjson > BENCH_bdd.json
@@ -91,9 +75,9 @@ bench-server:
 		| $(GO) run ./internal/tools/benchjson > BENCH_server.json
 
 # One cold iteration of accelerated auto sifting on scrambled mdlc2:
-# exercises the interaction-matrix fast path, the lower-bound abort and
-# the symmetry probe end to end per commit without paying for the off
-# and auto-naive contest rows.
+# exercises the interaction-matrix fast path and the lower-bound abort
+# end to end per commit without paying for the off and auto-naive
+# contest rows.
 bench-reorder-smoke:
 	$(GO) test -bench='BenchmarkReorder/mdlc2/auto$$' -benchtime=1x -run='^$$' .
 
@@ -119,18 +103,6 @@ bench-reorder:
 		cat bench/reorder_prechange.txt 2>/dev/null || true) \
 		| $(GO) run ./internal/tools/benchjson > BENCH_reorder.json
 
-# Parallel-kernel scaling sweep: the clustered image pipeline and the
-# raw multi-operand AndExists at 1/2/4/8 workers, recorded to
-# BENCH_parallel.json. Cold single iterations (-benchtime=1x) because
-# the GC-surviving op caches make warm repeats nearly free; the
-# forks/steals metrics confirm the fork/join recursion engaged.
-# Wall-clock scaling requires real cores — on a single-CPU host the
-# workers>=2 rows measure coordination overhead instead of speedup.
-bench-parallel:
-	$(GO) test -bench='BenchmarkImageParallel|BenchmarkParallelAndExists' -benchtime=1x -timeout=30m -run='^$$' . \
-		| tee /dev/stderr \
-		| $(GO) run ./internal/tools/benchjson > BENCH_parallel.json
-
 # One cold iteration of the iso-vs-clustered contest on the generated
 # philos-16: catches an isomorphism-detection or permutation-instantiation
 # regression without paying for the full scaled sweep.
@@ -141,8 +113,8 @@ bench-iso-smoke:
 # the parameterized ring designs (philos-16/64, scheduler-32) and the
 # bundled low-replication designs, recorded to BENCH_iso.json. benchjson
 # adds a speedup-vs-clustered ratio to every iso row. Cold single
-# iterations for the same reason as bench-parallel: the compile phase is
-# the contest.
+# iterations: the GC-surviving op caches make warm repeats nearly free,
+# and the compile phase is the contest.
 bench-iso:
 	$(GO) test -bench='BenchmarkIso$$' -benchtime=1x -timeout=30m -run='^$$' . \
 		| tee /dev/stderr \

@@ -11,7 +11,6 @@ package hsis
 // sub-benchmarks. Custom metrics report state counts and BDD sizes.
 
 import (
-	"fmt"
 	"testing"
 
 	"hsis/internal/bdd"
@@ -462,91 +461,6 @@ func BenchmarkNegationHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkImageParallel is the BenchmarkImage clustered/mdlc2 workload
-// swept over kernel worker counts: full forward reachability through
-// the precompiled quantification schedules plus a preimage of the
-// fixpoint. Run with -benchtime=1x — the GC-surviving op caches make
-// warm repeat iterations nearly free, so only a cold run measures the
-// image pipeline honestly. Reports fork/steal counters alongside the
-// standard kernel metrics; forks > 0 at workers >= 2 proves the
-// parallel recursion actually engaged.
-func BenchmarkImageParallel(b *testing.B) {
-	for _, wk := range []int{1, 2, 4, 8} {
-		wk := wk
-		b.Run(fmt.Sprintf("clustered/mdlc2/workers=%d", wk), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w := load(b, "mdlc2", core.Options{Workers: wk})
-				n := w.Net
-				m := n.Manager()
-				b.StartTimer()
-				res := reach.Forward(n, reach.Options{Engine: reach.EngineClustered})
-				if !res.Converged {
-					b.Fatal("diverged")
-				}
-				e := reach.Engine(n, reach.EngineClustered)
-				if e.Preimage(res.Reached) == bdd.False {
-					b.Fatal("empty preimage of reached set")
-				}
-				b.StopTimer()
-				st := m.Stats()
-				b.ReportMetric(float64(st.Forks), "forks")
-				b.ReportMetric(float64(st.Steals), "steals")
-				b.ReportMetric(float64(st.L1Hits), "l1-hits")
-				b.ReportMetric(float64(st.L1Promotions), "l1-promotions")
-				b.ReportMetric(float64(st.GrainAdjusts), "grain-adjusts")
-				for metric, v := range st.BenchMetrics() {
-					b.ReportMetric(v, metric)
-				}
-				m.SetWorkers(1) // shut the pool down between runs
-				b.StartTimer()
-			}
-		})
-	}
-}
-
-// BenchmarkParallelAndExists isolates the forked multi-operand
-// conjoin-and-quantify: one image computation per reachability ring of
-// mdlc2, each a fresh quant.AndExists over the network's partitioned
-// image operands. This is the raw kernel workload underneath the
-// clustered engine, without the fixpoint bookkeeping around it.
-func BenchmarkParallelAndExists(b *testing.B) {
-	for _, wk := range []int{1, 2, 4, 8} {
-		wk := wk
-		b.Run(fmt.Sprintf("mdlc2/workers=%d", wk), func(b *testing.B) {
-			w := load(b, "mdlc2", core.Options{Workers: wk})
-			n := w.Net
-			m := n.Manager()
-			defer m.SetWorkers(1)
-			res := reach.Forward(n, reach.Options{Engine: reach.EngineClustered, KeepRings: true})
-			if !res.Converged {
-				b.Fatal("diverged")
-			}
-			b.ResetTimer()
-			acc := bdd.False
-			for i := 0; i < b.N; i++ {
-				for _, ring := range res.Rings {
-					conjs, qvars := n.ImageOperands(ring)
-					acc = m.Or(acc, quant.AndExists(m, conjs, qvars, quant.MinWidth))
-				}
-			}
-			b.StopTimer()
-			if acc == bdd.False {
-				b.Fatal("all images empty")
-			}
-			st := m.Stats()
-			b.ReportMetric(float64(st.Forks), "forks")
-			b.ReportMetric(float64(st.Steals), "steals")
-			b.ReportMetric(float64(st.L1Hits), "l1-hits")
-			b.ReportMetric(float64(st.L1Promotions), "l1-promotions")
-			b.ReportMetric(float64(st.GrainAdjusts), "grain-adjusts")
-			for metric, v := range st.BenchMetrics() {
-				b.ReportMetric(v, metric)
-			}
-		})
-	}
-}
-
 func verilogToNetwork(src, top string, skipMono bool) (*network.Network, error) {
 	w, err := core.LoadVerilogString(src, top+".v", top, core.Options{})
 	if err != nil {
@@ -640,9 +554,8 @@ func BenchmarkReorder(b *testing.B) {
 			// reordering dominates (EXPERIMENTS.md ablation H): each row
 			// disables exactly one acceleration.
 			cfgs = append(cfgs,
-				reorderCfg{"auto-nointer", core.Options{AppendedOrder: true, Reorder: "auto", ReorderAccel: "lowerbound,symmetry"}},
-				reorderCfg{"auto-nolb", core.Options{AppendedOrder: true, Reorder: "auto", ReorderAccel: "interaction,symmetry"}},
-				reorderCfg{"auto-nosym", core.Options{AppendedOrder: true, Reorder: "auto", ReorderAccel: "interaction,lowerbound"}},
+				reorderCfg{"auto-nointer", core.Options{AppendedOrder: true, Reorder: "auto", ReorderAccel: "lowerbound"}},
+				reorderCfg{"auto-nolb", core.Options{AppendedOrder: true, Reorder: "auto", ReorderAccel: "interaction"}},
 			)
 		}
 		for _, cfg := range cfgs {
@@ -668,7 +581,6 @@ func BenchmarkReorder(b *testing.B) {
 				b.ReportMetric(float64(st.ReorderSwaps), "swaps")
 				b.ReportMetric(float64(st.ReorderInterSkips), "interaction-skips")
 				b.ReportMetric(float64(st.ReorderLBAborts), "lb-aborts")
-				b.ReportMetric(float64(st.ReorderSymPairs), "sym-pairs")
 				b.ReportMetric(float64(st.ReorderNodesAfter), "final-live-nodes")
 			})
 		}

@@ -24,30 +24,25 @@
 //	bisim_classes                   bisimulation equivalence classes
 //	sim_init / sim_step [n] / sim_step_with <expr> / sim_states [max] / sim_back
 //	trace on [file.jsonl] / trace off
-//	workers [n]                     show or set the BDD worker count
 //	quit
 //
 // Flags: -image auto|monolithic|partitioned|clustered|iso selects the
 // image-computation engine (iso compiles clusters once per class of
 // isomorphic latch cones and instantiates replicas by variable
 // permutation; auto picks it whenever a design has enough replication,
-// and then never builds the monolithic relation); -reorder off|manual|auto selects
-// the dynamic-reordering policy
-// for designs loaded afterwards; -reorder-accel all|none|<list> toggles
-// the sifting accelerations (interaction-matrix fast swaps, lower-bound
-// aborts, symmetric-pair gluing), -reorder-max-growth and
-// -reorder-trigger tune the sift growth bound and the auto trigger
-// factor; -order <file> seeds the variable order
-// from a saved .order file (written by write_order); -workers <n>
-// selects the BDD kernel's worker count (default GOMAXPROCS; 1 = the
-// sequential kernel) — with two or more workers large conjunctions fork
-// onto a work-stealing pool and check_all verifies independent
-// properties concurrently; -stats prints BDD statistics after checking
-// commands; -trace <file.jsonl> arms the telemetry layer for the whole
-// session and writes one JSON event per line (fixpoint iterations, GCs,
-// reorders, cache growth, node samples), printing the telemetry summary
-// at exit; -profile <dir> captures cpu.pprof over the run and
-// heap.pprof at exit.
+// and then never builds the monolithic relation); -reorder
+// off|manual|auto selects the dynamic-reordering policy for designs
+// loaded afterwards; -reorder-accel all|none|<list> toggles the sifting
+// accelerations (interaction-matrix fast swaps, lower-bound aborts),
+// -reorder-max-growth and -reorder-trigger tune the sift growth bound
+// and the auto trigger factor; -order <file> seeds the variable order
+// from a saved .order file (written by write_order); -stats prints BDD
+// statistics after checking commands; -trace <file.jsonl> arms the
+// telemetry layer for the whole session and writes one JSON event per
+// line (fixpoint iterations, GCs, reorders, cache growth, node
+// samples), printing the telemetry summary at exit; -profile <dir>
+// captures cpu.pprof over the run and heap.pprof at exit. The flags
+// hsis shares with table1 are bound by core.BindFlags.
 package main
 
 import (
@@ -55,7 +50,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -83,68 +77,41 @@ type shell struct {
 	opts  core.Options
 }
 
-// parseWorkers resolves the -workers flag: "auto" (or "0") picks a
-// GOMAXPROCS-wide kernel, an explicit count is used as given.
-func parseWorkers(v string) (int, error) {
-	if v == "auto" || v == "" {
-		return runtime.GOMAXPROCS(0), nil
+// parseFlags parses the command line into a shell configuration: the
+// shared verification flags (core.BindFlags) plus -stats and -order.
+func parseFlags(args []string) (*shell, *core.CLIFlags, error) {
+	fs := flag.NewFlagSet("hsis", flag.ContinueOnError)
+	sh := &shell{}
+	cf := core.BindFlags(fs, &sh.opts)
+	fs.BoolVar(&sh.stats, "stats", false,
+		"print BDD operation statistics after every checking command")
+	fs.StringVar(&sh.opts.OrderFile, "order", "",
+		"seed the variable order from a saved .order file (see write_order)")
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid -workers %q (want auto or a non-negative count)", v)
-	}
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return n, nil
+	return sh, cf, nil
 }
 
 func main() {
-	statsFlag := flag.Bool("stats", false,
-		"print BDD operation statistics after every checking command")
-	reorderFlag := flag.String("reorder", "off",
-		"dynamic variable reordering policy: off, manual or auto")
-	reorderAccelFlag := flag.String("reorder-accel", "all",
-		"sifting accelerations: all, none, or a comma list of interaction, lowerbound, symmetry")
-	reorderMaxGrowthFlag := flag.Float64("reorder-max-growth", 0,
-		"abort a sift direction when nodes exceed this factor of the best size (0 = default 1.2)")
-	reorderTriggerFlag := flag.Float64("reorder-trigger", 0,
-		"auto-sift when live nodes exceed this factor of the size at the last arming (0 = default 2)")
-	imageFlag := flag.String("image", "auto",
-		"image-computation engine: auto, monolithic, partitioned, clustered or iso")
-	orderFlag := flag.String("order", "",
-		"seed the variable order from a saved .order file (see write_order)")
-	workersFlag := flag.String("workers", "auto",
-		"BDD kernel workers: auto = GOMAXPROCS, 1 = sequential, n >= 2 = parallel kernel")
-	traceFlag := flag.String("trace", "",
-		"write a JSONL telemetry trace of the whole session to this file")
-	profileFlag := flag.String("profile", "",
-		"write cpu.pprof and heap.pprof into this directory")
-	flag.Parse()
-	workers, err := parseWorkers(*workersFlag)
+	sh, cf, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hsis:", err)
 		os.Exit(2)
 	}
-	sh := &shell{
-		out:   bufio.NewWriter(os.Stdout),
-		stats: *statsFlag,
-		opts: core.Options{Reorder: *reorderFlag, OrderFile: *orderFlag,
-			ReorderAccel:     *reorderAccelFlag,
-			ReorderMaxGrowth: *reorderMaxGrowthFlag,
-			ReorderTrigger:   *reorderTriggerFlag,
-			Image:            *imageFlag, Workers: workers},
-	}
+	sh.out = bufio.NewWriter(os.Stdout)
 	defer sh.out.Flush()
-	if *statsFlag {
+	if sh.stats {
 		// -stats arms a metrics-only default scope: the kernel and the
 		// fixpoint drivers feed the latency histograms (GC pause,
 		// iteration, image, reorder) that WriteTable renders — the same
 		// pipeline the daemon uses per job.
 		telemetry.SetDefault(telemetry.NewScope(nil).WithMetrics(telemetry.NewMetricSet()))
 	}
-	if *traceFlag != "" {
-		if err := sh.traceOn(*traceFlag); err != nil {
+	if cf.Trace != "" {
+		if err := sh.traceOn(cf.Trace); err != nil {
 			fmt.Fprintln(os.Stderr, "hsis:", err)
 			os.Exit(1)
 		}
@@ -157,8 +124,8 @@ func main() {
 			}
 		}
 	}()
-	if *profileFlag != "" {
-		stop, err := telemetry.StartProfiling(*profileFlag)
+	if cf.Profile != "" {
+		stop, err := telemetry.StartProfiling(cf.Profile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hsis:", err)
 			os.Exit(1)
@@ -205,32 +172,7 @@ func (sh *shell) exec(line string) error {
 	cmd, args := fields[0], fields[1:]
 	switch cmd {
 	case "help":
-		fmt.Fprintln(sh.out, "commands: read_verilog read_blif_mv read_pif read_builtin print_stats compute_reach check_ctl lang_contain check_all explain_ctl check_refine quant_schedule reorder write_order write_blif_mv write_dot bisim_classes sim_init sim_step sim_step_with sim_states sim_back trace workers quit")
-		return nil
-	case "workers":
-		// workers [n] mirrors trace/reorder: with no argument it reports
-		// the current mode, with one it reconfigures the kernel for the
-		// loaded design and every design loaded afterwards (0 or "auto"
-		// means GOMAXPROCS).
-		if len(args) == 0 {
-			fmt.Fprintf(sh.out, "workers: %d\n", sh.opts.Workers)
-			return nil
-		}
-		n := 0
-		if args[0] != "auto" {
-			var err error
-			if n, err = strconv.Atoi(args[0]); err != nil || n < 0 {
-				return fmt.Errorf("usage: workers [n | auto] (n >= 1; 0/auto = GOMAXPROCS)")
-			}
-		}
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		sh.opts.Workers = n
-		if sh.w != nil {
-			sh.w.Net.Manager().SetWorkers(n)
-		}
-		fmt.Fprintf(sh.out, "workers: %d\n", n)
+		fmt.Fprintln(sh.out, "commands: read_verilog read_blif_mv read_pif read_builtin print_stats compute_reach check_ctl lang_contain check_all explain_ctl check_refine quant_schedule reorder write_order write_blif_mv write_dot bisim_classes sim_init sim_step sim_step_with sim_states sim_back trace quit")
 		return nil
 	case "trace":
 		// trace on [file.jsonl] arms the telemetry layer mid-session;
@@ -518,9 +460,9 @@ func (sh *shell) exec(line string) error {
 			return err
 		}
 		res := sh.w.SiftNow()
-		fmt.Fprintf(sh.out, "sifted: %d -> %d live nodes (%d swaps, %d passes; %d fast-swaps, %d lb-aborts, %d sym-pairs)\n",
+		fmt.Fprintf(sh.out, "sifted: %d -> %d live nodes (%d swaps, %d passes; %d fast-swaps, %d lb-aborts)\n",
 			res.Before, res.After, res.Swaps, res.Passes,
-			res.InteractionSkips, res.LowerBoundAborts, res.SymmetricPairs)
+			res.InteractionSkips, res.LowerBoundAborts)
 		return nil
 	case "write_order":
 		if err := sh.need(); err != nil {

@@ -314,3 +314,57 @@ func TestShellScaledDesignSkipsT(t *testing.T) {
 		t.Fatalf("pingpong should build T under auto:\n%s", out)
 	}
 }
+
+// TestParseFlags checks the command line goes through the binder shared
+// with table1, and that -workers is not a flag.
+func TestParseFlags(t *testing.T) {
+	sh, cf, err := parseFlags([]string{
+		"-image", "iso", "-reorder", "auto", "-reorder-accel", "lowerbound",
+		"-reorder-max-growth", "1.5", "-reorder-trigger", "3",
+		"-trace", "run.jsonl", "-profile", "prof", "-stats", "-order", "x.order",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := sh.opts
+	if o.Image != "iso" || o.Reorder != "auto" || o.ReorderAccel != "lowerbound" ||
+		o.ReorderMaxGrowth != 1.5 || o.ReorderTrigger != 3 || o.OrderFile != "x.order" {
+		t.Fatalf("options not bound: %+v", o)
+	}
+	if !sh.stats || cf.Trace != "run.jsonl" || cf.Profile != "prof" {
+		t.Fatalf("stats/trace/profile not bound: stats=%v %+v", sh.stats, cf)
+	}
+	sh, _, err = parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.opts.Image != "auto" || sh.opts.Reorder != "off" || sh.opts.ReorderAccel != "all" {
+		t.Fatalf("defaults: %+v", sh.opts)
+	}
+	if _, _, err := parseFlags([]string{"-workers", "2"}); err == nil {
+		t.Fatal("-workers was accepted")
+	}
+}
+
+// TestShellReorder sifts a loaded design by hand: the report carries the
+// swap and acceleration counters, and the sifted order verifies the same.
+func TestShellReorder(t *testing.T) {
+	sh, buf := newTestShell()
+	out := run(t, sh, buf,
+		"read_builtin pingpong",
+		"reorder",
+		"compute_reach",
+	)
+	if !strings.Contains(out, "sifted:") || !strings.Contains(out, "lb-aborts)") {
+		t.Fatalf("reorder report missing:\n%s", out)
+	}
+	if strings.Contains(out, "sym-pairs") {
+		t.Fatalf("reorder report still mentions symmetric pairs:\n%s", out)
+	}
+	if !strings.Contains(out, "# reached states: 4") {
+		t.Fatalf("sifted order changed the reachable states:\n%s", out)
+	}
+	if err := sh.exec("workers 2"); err == nil {
+		t.Fatal("workers was accepted as a shell command")
+	}
+}

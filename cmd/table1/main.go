@@ -12,8 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -82,30 +80,55 @@ func measure(name string, opts core.Options) (*row, error) {
 	return r, nil
 }
 
-func main() {
-	only := flag.String("design", "", "run a single design")
-	heuristic := flag.String("quant", "minwidth", "early quantification heuristic: minwidth|linear|naive")
-	appended := flag.Bool("appended-order", false, "use the naive appended variable order (Ablation E)")
-	early := flag.Int("early", 0, "early failure detection depth for LC (0 = off)")
-	noFast := flag.Bool("no-invariant-fastpath", false, "disable the AG(prop) fast path (Ablation B)")
-	coi := flag.Bool("coi", false, "cone-of-influence abstraction per property (Ablation G)")
-	reorderPolicy := flag.String("reorder", "off", "dynamic variable reordering policy: off, manual or auto")
-	reorderAccel := flag.String("reorder-accel", "all",
-		"sifting accelerations: all, none, or a comma list of interaction, lowerbound, symmetry")
-	reorderMaxGrowth := flag.Float64("reorder-max-growth", 0,
-		"abort a sift direction when nodes exceed this factor of the best size (0 = default 1.2)")
-	reorderTrigger := flag.Float64("reorder-trigger", 0,
-		"auto-sift when live nodes exceed this factor of the size at the last arming (0 = default 2)")
-	imageFlag := flag.String("image", "auto",
-		"image-computation engine: auto, monolithic, partitioned, clustered or iso")
-	workersFlag := flag.String("workers", "auto",
-		"BDD kernel workers: auto = GOMAXPROCS, 1 = sequential, n >= 2 = parallel kernel")
-	traceFlag := flag.String("trace", "", "write a JSONL telemetry trace of the run to this file")
-	profileFlag := flag.String("profile", "", "write cpu.pprof and heap.pprof into this directory")
-	flag.Parse()
+// config is one table1 invocation: the workspace options every design
+// is measured with, the shared trace/profile flags and the design
+// filter.
+type config struct {
+	opts core.Options
+	cli  *core.CLIFlags
+	only string
+}
 
-	if *traceFlag != "" {
-		tr, err := telemetry.OpenTrace(*traceFlag)
+// parseFlags parses the command line: the verification flags shared
+// with hsis (core.BindFlags) plus the ablation switches of
+// EXPERIMENTS.md.
+func parseFlags(args []string) (*config, error) {
+	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
+	c := &config{}
+	c.cli = core.BindFlags(fs, &c.opts)
+	fs.StringVar(&c.only, "design", "", "run a single design")
+	heuristic := fs.String("quant", "minwidth", "early quantification heuristic: minwidth|linear|naive")
+	fs.BoolVar(&c.opts.AppendedOrder, "appended-order", false, "use the naive appended variable order (Ablation E)")
+	fs.IntVar(&c.opts.EarlySteps, "early", 0, "early failure detection depth for LC (0 = off)")
+	fs.BoolVar(&c.opts.DisableInvariantFastPath, "no-invariant-fastpath", false, "disable the AG(prop) fast path (Ablation B)")
+	fs.BoolVar(&c.opts.ConeOfInfluence, "coi", false, "cone-of-influence abstraction per property (Ablation G)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch *heuristic {
+	case "minwidth":
+		c.opts.Heuristic = quant.MinWidth
+	case "linear":
+		c.opts.Heuristic = quant.Linear
+	case "naive":
+		c.opts.NaiveQuantification = true
+	default:
+		return nil, fmt.Errorf("unknown -quant value %q", *heuristic)
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "table1:", err)
+		os.Exit(2)
+	}
+	if c.cli.Trace != "" {
+		tr, err := telemetry.OpenTrace(c.cli.Trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "table1:", err)
 			os.Exit(1)
@@ -122,8 +145,8 @@ func main() {
 			}
 		}()
 	}
-	if *profileFlag != "" {
-		stop, err := telemetry.StartProfiling(*profileFlag)
+	if c.cli.Profile != "" {
+		stop, err := telemetry.StartProfiling(c.cli.Profile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "table1:", err)
 			os.Exit(1)
@@ -135,53 +158,16 @@ func main() {
 		}()
 	}
 
-	opts := core.Options{
-		EarlySteps:               *early,
-		AppendedOrder:            *appended,
-		DisableInvariantFastPath: *noFast,
-		ConeOfInfluence:          *coi,
-		Reorder:                  *reorderPolicy,
-		ReorderAccel:             *reorderAccel,
-		ReorderMaxGrowth:         *reorderMaxGrowth,
-		ReorderTrigger:           *reorderTrigger,
-		Image:                    *imageFlag,
-	}
-	// "auto" (or "0") picks a GOMAXPROCS-wide kernel, matching cmd/hsis.
-	if *workersFlag == "auto" || *workersFlag == "" {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	} else {
-		n, err := strconv.Atoi(*workersFlag)
-		if err != nil || n < 0 {
-			fmt.Fprintf(os.Stderr, "table1: invalid -workers %q (want auto or a non-negative count)\n", *workersFlag)
-			os.Exit(2)
-		}
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		opts.Workers = n
-	}
-	switch *heuristic {
-	case "minwidth":
-		opts.Heuristic = quant.MinWidth
-	case "linear":
-		opts.Heuristic = quant.Linear
-	case "naive":
-		opts.NaiveQuantification = true
-	default:
-		fmt.Fprintln(os.Stderr, "table1: unknown -quant value")
-		os.Exit(2)
-	}
-
 	fmt.Printf("%-10s %8s %8s %12s %12s %5s %12s %5s %12s\n",
 		"example", "#linesV", "#linesMV", "read(ms)", "#states", "#lc", "lc(ms)", "#ctl", "mc(ms)")
 	names := designs.Names()
-	if *only != "" {
+	if c.only != "" {
 		// A single -design may also name a generated scaled instance
 		// ("philos-64") outside the bundled Table-1 set.
-		names = []string{*only}
+		names = []string{c.only}
 	}
 	for _, name := range names {
-		r, err := measure(name, opts)
+		r, err := measure(name, c.opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "table1:", err)
 			os.Exit(1)

@@ -41,3 +41,35 @@ func TestMeasureUnknownDesign(t *testing.T) {
 		t.Fatal("unknown design should error")
 	}
 }
+
+// TestParseFlags checks the command line goes through the binder shared
+// with hsis, alongside the table1-only ablation switches, and that
+// -workers is not a flag.
+func TestParseFlags(t *testing.T) {
+	c, err := parseFlags([]string{
+		"-image", "clustered", "-reorder", "manual", "-reorder-accel", "none",
+		"-reorder-max-growth", "1.3", "-reorder-trigger", "2.5",
+		"-trace", "t.jsonl", "-profile", "p",
+		"-design", "pingpong", "-quant", "naive", "-coi", "-early", "3",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := c.opts
+	if o.Image != "clustered" || o.Reorder != "manual" || o.ReorderAccel != "none" ||
+		o.ReorderMaxGrowth != 1.3 || o.ReorderTrigger != 2.5 {
+		t.Fatalf("shared options not bound: %+v", o)
+	}
+	if !o.NaiveQuantification || !o.ConeOfInfluence || o.EarlySteps != 3 || c.only != "pingpong" {
+		t.Fatalf("table1 options not bound: %+v only=%q", o, c.only)
+	}
+	if c.cli.Trace != "t.jsonl" || c.cli.Profile != "p" {
+		t.Fatalf("trace/profile not bound: %+v", c.cli)
+	}
+	if _, err := parseFlags([]string{"-workers", "2"}); err == nil {
+		t.Fatal("-workers was accepted")
+	}
+	if _, err := parseFlags([]string{"-quant", "bogus"}); err == nil {
+		t.Fatal("unknown -quant value was accepted")
+	}
+}

@@ -26,36 +26,18 @@
 //
 // # Concurrency
 //
-// A Manager has two execution modes selected by SetWorkers. With one
-// worker (the default) it is single-threaded and every hot path is
-// identical to the classic sequential kernel: plain unique-table probes,
-// plain cache slots, no locks. With two or more workers the manager is
-// safe for concurrent operations from any number of goroutines and
-// additionally splits large And/Exists/AndExists recursions across a
-// bounded work-stealing pool (see pool.go):
-//
-//   - the node arena is a chunked store whose chunks never move, so a
-//     Ref-to-node lookup is stable under concurrent allocation;
-//   - the unique table is sharded into lock-striped segments keyed on
-//     the top bits of the node hash;
-//   - the operation caches publish fixed-width entries through a
-//     per-slot sequence lock, so lookups are lock-free and exact;
-//   - refcounts and gauges are atomic;
-//   - GC, cache adaptation and reorder sessions are stop-the-world
-//     epochs behind an RWMutex every operation read-locks.
-//
-// GC and reordering keep their sequential safe-point contract: they run
-// only at explicit calls (GC, MaybeGC, MaybeReorder), never implicitly
-// inside an operation, and they must be invoked from one goroutine at a
-// time while no other goroutine holds unprotected Refs across the call.
-// ParallelDo sections defer MaybeGC/MaybeReorder automatically so
-// concurrent tasks cannot collect each other's intermediate results.
+// A Manager is single-threaded: one goroutine owns it and runs every
+// operation, GC and reorder session on it. GC and reordering run only at
+// explicit safe points (GC, MaybeGC, MaybeReorder), never implicitly
+// inside an operation. The only members safe to use from another
+// goroutine are Interrupt (see interrupt.go) and SetTelemetry.
+// Parallelism lives above the kernel: the hsisd daemon runs concurrent
+// jobs, each on its own Manager.
 package bdd
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -109,11 +91,11 @@ type node struct {
 	high  Ref   // then-branch (variable = 1)
 }
 
-// The node arena is chunked: chunks are fixed-size blocks that are
-// allocated on demand, published with an atomic pointer, and never
-// moved or freed, so a concurrent reader can follow any Ref it has
-// legitimately received without synchronizing with allocators. Slot
-// indices are dense; index 0 is the terminal.
+// The node arena is chunked: chunks are fixed-size blocks allocated on
+// demand and never moved or freed, so a *node obtained from node() stays
+// valid across later allocations (the reorder swap rewrites nodes
+// through such pointers). Slot indices are dense; index 0 is the
+// terminal.
 const (
 	chunkShift = 16
 	chunkSize  = 1 << chunkShift
@@ -129,45 +111,26 @@ type chunk struct {
 	refs  [chunkSize]int32
 }
 
-// The unique table is sharded: the top shardBits of a node hash select
-// a segment, the low bits probe inside it. Each segment is an
-// open-addressing table guarded by its own mutex in parallel mode;
-// sequential mode skips the locks entirely.
-const (
-	shardBits      = 6
-	numShards      = 1 << shardBits
-	initShardSlots = defaultTableSize / numShards
-)
-
-type tableShard struct {
-	mu    sync.Mutex
-	slots []int32 // node indices + 1; 0 means empty
-	mask  uint64
-	count int // occupied slots, drives per-shard growth
-	// pad the shard to its own cache lines so neighbouring shard locks
-	// do not false-share under contention
-	_ [64]byte
-}
-
-// Manager owns a shared forest of BDD nodes. It is single-threaded by
-// default; SetWorkers(n > 1) makes it safe for concurrent operations
-// and enables the fork/join worker pool (see the package comment).
+// Manager owns a shared forest of BDD nodes. It is single-threaded; see
+// the package comment.
 type Manager struct {
-	chunks  []atomic.Pointer[chunk]
-	nodeCap atomic.Int64 // number of initialized node slots (high water)
+	chunks  []*chunk
+	nodeCap int // number of initialized node slots (high water)
 
-	shards [numShards]tableShard
+	// The unique table: open addressing with linear probing over node
+	// indices + 1 (0 means empty), grown at 70% load.
+	table      []int32
+	tableMask  uint64
+	tableCount int
 
-	free    []Ref // recycled node indices (dead after GC); free[:freeLen]
-	freeLen atomic.Int64
+	free []Ref // recycled node indices (dead after GC), used as a stack
 
 	var2level []int32
 	level2var []int32
 
 	// Operation caches. Each is a direct-mapped power-of-two array that
 	// starts at its initial size and doubles adaptively (see cache.go);
-	// entries whose operands and result survive a GC are kept. Each
-	// entry carries a sequence word used only in parallel mode.
+	// entries whose operands and result survive a GC are kept.
 	ite       []iteEntry
 	binop     []binopEntry
 	quant     []quantEntry // Exists cache, keyed on (f, cube)
@@ -179,66 +142,30 @@ type Manager struct {
 
 	cacheBudget int                    // total entry budget across all op caches
 	cacheWin    [numCaches]cacheWindow // adaptive-growth bookkeeping
-	allocs      atomic.Uint64          // node allocations (flushed from contexts)
+	allocs      uint64                 // node allocations
 	allocsAtGC  uint64                 // allocs at the last collection (demand estimate)
+	sinceAdapt  uint64                 // allocations since the last adaptation checkpoint
 
 	marks []uint64 // reusable mark bitmap, one bit per node slot
 
 	// Reusable rebuild memo (Permute/Compose/VectorCompose): indexed by
 	// stored-node id, validated by an epoch stamp so calls never clear
 	// it. memoLast (stored nodes visited by the previous rebuild) picks
-	// between this and a plain map per call; see subst.go. memoMu
-	// serializes the substitution family in parallel mode.
-	memoMu    sync.Mutex
+	// between this and a plain map per call; see subst.go.
 	memoVal   []Ref
 	memoStamp []uint32
 	memoEpoch uint32
 	memoCount int
 	memoLast  int
 
-	statApplyCalls, statApplyHits atomic.Uint64
-	statITECalls, statITEHits     atomic.Uint64
-	statQuantCalls, statQuantHits atomic.Uint64
-	statAexCalls, statAexHits     atomic.Uint64
-	statCompShared                atomic.Uint64 // mk results re-rooted onto a complement-shared node
-	statPermCalls, statPermHits   atomic.Uint64 // Permuter node visits / persistent-memo hits
-	statCacheGrowths              atomic.Int64
+	statApplyCalls, statApplyHits uint64
+	statITECalls, statITEHits     uint64
+	statQuantCalls, statQuantHits uint64
+	statAexCalls, statAexHits     uint64
+	statCompShared                uint64 // mk results re-rooted onto a complement-shared node
+	statPermCalls, statPermHits   uint64 // Permuter node visits / persistent-memo hits
+	statCacheGrowths              int
 	statCacheKept                 int // op-cache entries that survived the last GC
-
-	statForks      atomic.Uint64 // subproblems forked onto the pool
-	statSteals     atomic.Uint64 // futures executed off the forking call path
-	statContention atomic.Uint64 // shard-lock waits + cache-publication conflicts
-
-	statL1Hits   atomic.Uint64 // probes answered by a private L1 cache
-	statL1Merges atomic.Uint64 // L1→L2 promotion drains (fork-join/op boundaries)
-	statL1Promos atomic.Uint64 // entries successfully published to the shared L2
-
-	statSiftZones     atomic.Uint64 // independent sift zones opened across sessions
-	statSiftParBlocks atomic.Uint64 // blocks sifted inside zoned sessions
-
-	statGrainAdjusts atomic.Uint64 // fork-depth moves by the grain controller
-
-	// l1Every overrides the L1 pending-buffer size (test knob; see
-	// SetL1MergeInterval). Zero means the default batch. Set only while
-	// the manager is quiescent.
-	l1Every int32
-
-	// cacheEpoch invalidates every private L1 op cache at once: it is
-	// bumped at each point that sweeps or clears the shared caches (GC,
-	// reorder Close). L1 entries carry the epoch they were stored under
-	// and fail validation after a bump, so the L1s need no sweeping.
-	cacheEpoch atomic.Uint32
-
-	// Concurrent-GC barrier state (gc.go). gcMarking is set for the
-	// concurrent mark phase; while it is set, every ref that surfaces
-	// from the unique table, an op cache, or IncRef below gcWatermark is
-	// pushed onto gcResq so the exclusive window can mark it before the
-	// sweep — the resurrection barrier.
-	gcActive    atomic.Bool
-	gcMarking   atomic.Bool
-	gcWatermark atomic.Int64
-	gcMu        sync.Mutex
-	gcResq      []Ref
 
 	// interrupted is the cooperative-cancellation flag (interrupt.go):
 	// set by Interrupt from any goroutine, polled by the fixpoint
@@ -250,45 +177,25 @@ type Manager struct {
 	GCCount   int // number of garbage collections performed
 	lastLive  int
 	numVars   int
-	// numVarsPub mirrors numVars for lock-free external readers:
-	// NumVars() and the Var/NVar range checks run outside the epoch
-	// lock, so they must not read the plain field NewVar mutates.
-	numVarsPub atomic.Int32
-	peakNodes  atomic.Int64
-	peakLive   atomic.Int64         // largest live count seen at an allocation
-	OnGC       func(live, dead int) // optional GC observer
-
-	// Parallel mode (pool.go, parallel.go). par is set by SetWorkers at
-	// a quiescent point and selects the lock-striped/atomic access
-	// paths; stw is the stop-the-world epoch lock: operations hold it
-	// for read, GC / cache adaptation / reorder sessions for write.
-	par          bool
-	workers      int
-	stw          sync.RWMutex
-	sections     atomic.Int32 // open ParallelDo sections (defers GC/reorder)
-	adaptPending atomic.Bool  // a context requested a cache-adaptation check
-	pool         *pool
-	ctxFree      sync.Pool
-	seqCtx       *kctx
+	peakNodes int
+	peakLive  int                  // largest live count seen at an allocation
+	OnGC      func(live, dead int) // optional GC observer
 
 	// Dynamic variable reordering (reorder.go; sifting driver in
 	// internal/reorder).
 	session        *ReorderSession // non-nil while a reorder is in progress
-	inSession      atomic.Bool     // lock-free mirror of session != nil
-	groupsMu       sync.Mutex      // guards groups: zone sifters glue concurrently
 	groups         [][]int         // atomic sifting blocks (variable IDs)
 	reorderPolicy  ReorderPolicy
 	reorderFn      func(*Manager) // automatic-reorder hook
 	reorderGrow    float64
 	reorderMin     int
-	reorderAt      atomic.Int64 // live count that arms reorderPending (0 = disarmed)
-	reorderPending atomic.Bool  // trigger fired; next safe point reorders
+	reorderAt      int  // live count that arms reorderPending (0 = disarmed)
+	reorderPending bool // trigger fired; next safe point reorders
 
 	statReorders     int
 	statReorderSwaps uint64
 	statInterSkips   uint64 // swaps taken as non-interacting relabels
 	statLBAborts     uint64 // sift directions cut by the lower bound
-	statSymPairs     int    // symmetric pairs glued into blocks
 	statReorderTime  time.Duration
 	reorderBefore    int // manager size entering the last reorder
 	reorderAfter     int // manager size leaving the last reorder
@@ -324,19 +231,15 @@ func (m *Manager) Telemetry() *telemetry.Scope {
 	return telemetry.Default()
 }
 
-// Cache entries. The seq word is the per-slot sequence lock used by the
-// parallel publication protocol (cache.go); sequential mode reads and
-// writes the fields directly. Empty cache entries are all-zero. A zero
-// operand field can never match a probe: every recursion resolves
-// terminal operands before probing, so a cached f is always a
-// non-terminal (index ≥ 1) Ref.
+// Cache entries. Empty cache entries are all-zero. A zero operand field
+// can never match a probe: every recursion resolves terminal operands
+// before probing, so a cached f is always a non-terminal (index ≥ 1)
+// Ref.
 type iteEntry struct {
-	seq          uint32
 	f, g, h, res Ref
 }
 
 type binopEntry struct {
-	seq       uint32
 	op        int32
 	f, g, res Ref
 }
@@ -347,14 +250,12 @@ type binopEntry struct {
 // of the key, so plans that alternate cubes — an image step followed by
 // a preimage step, as every fixpoint does — do not thrash the cache.
 type quantEntry struct {
-	seq          uint32
 	f, cube, res Ref
 }
 
 // aexEntry caches one AndExists recursion, cube included in the key for
 // the same reason.
 type aexEntry struct {
-	seq             uint32
 	f, g, cube, res Ref
 }
 
@@ -369,7 +270,8 @@ const defaultTableSize = 1 << 14
 // NewVar or NewVars.
 func New() *Manager {
 	m := &Manager{
-		chunks:      make([]atomic.Pointer[chunk], maxChunks),
+		table:       make([]int32, defaultTableSize),
+		tableMask:   defaultTableSize - 1,
 		ite:         make([]iteEntry, initITECache),
 		binop:       make([]binopEntry, initBinopCache),
 		quant:       make([]quantEntry, initQuantCache),
@@ -381,17 +283,10 @@ func New() *Manager {
 		cacheBudget: defaultCacheBudget,
 		gcEnabled:   true,
 		autoGCAt:    1 << 19,
-		workers:     1,
 	}
-	for i := range m.shards {
-		m.shards[i].slots = make([]int32, initShardSlots)
-		m.shards[i].mask = initShardSlots - 1
-	}
-	m.seqCtx = &kctx{m: m}
-	m.ctxFree.New = func() any { return &kctx{m: m} }
 	// Install the single terminal at index 0.
-	m.chunks[0].Store(new(chunk))
-	m.nodeCap.Store(1)
+	m.chunks = append(m.chunks, new(chunk))
+	m.nodeCap = 1
 	t := m.node(0)
 	t.varID = terminalLevel
 	*m.rcPtr(0) = 1 // permanently referenced
@@ -399,55 +294,40 @@ func New() *Manager {
 }
 
 // node returns the stored node underlying f (complement mark ignored).
-// Chunks never move, so the pointer stays valid across allocations; in
-// parallel mode callers may read it plainly for any Ref they received
-// through a synchronized channel (a cache hit, a unique-table hit, a
-// joined future, or program order).
+// Chunks never move, so the pointer stays valid across allocations.
 func (m *Manager) node(f Ref) *node {
 	i := uint32(f &^ compBit)
-	return &m.chunks[i>>chunkShift].Load().nodes[i&chunkMask]
+	return &m.chunks[i>>chunkShift].nodes[i&chunkMask]
 }
 
 // rcPtr returns the external reference-count cell of f's stored node.
 func (m *Manager) rcPtr(f Ref) *int32 {
 	i := uint32(f &^ compBit)
-	return &m.chunks[i>>chunkShift].Load().refs[i&chunkMask]
+	return &m.chunks[i>>chunkShift].refs[i&chunkMask]
 }
 
-// ensureChunk makes sure the chunk containing slot i exists. Losing the
-// publication race just discards the extra chunk.
-func (m *Manager) ensureChunk(i int64) {
-	ci := i >> chunkShift
-	if ci >= maxChunks {
-		panic("bdd: node arena exhausted")
+// newSlot extends the arena by one slot and returns its index.
+func (m *Manager) newSlot() Ref {
+	i := m.nodeCap
+	if i>>chunkShift >= len(m.chunks) {
+		if len(m.chunks) >= maxChunks {
+			panic("bdd: node arena exhausted")
+		}
+		m.chunks = append(m.chunks, new(chunk))
 	}
-	if m.chunks[ci].Load() == nil {
-		m.chunks[ci].CompareAndSwap(nil, new(chunk))
-	}
+	m.nodeCap++
+	return Ref(i)
 }
 
 // NumVars returns the number of variables created in the manager.
-func (m *Manager) NumVars() int { return int(m.numVarsPub.Load()) }
+func (m *Manager) NumVars() int { return m.numVars }
 
 // Size returns the number of live plus dead nodes currently allocated,
 // including the terminal.
-func (m *Manager) Size() int { return int(m.nodeCap.Load() - m.freeLen.Load()) }
+func (m *Manager) Size() int { return m.nodeCap - len(m.free) }
 
 // PeakSize returns the largest node count observed since creation.
-func (m *Manager) PeakSize() int { return int(m.peakNodes.Load()) }
-
-// newVarLocked is NewVar's body; callers in parallel mode must hold the
-// stop-the-world write lock.
-func (m *Manager) newVarLocked() Ref {
-	v := m.numVars
-	m.numVars++
-	m.numVarsPub.Store(int32(m.numVars))
-	m.var2level = append(m.var2level, int32(v))
-	m.level2var = append(m.level2var, int32(v))
-	r := m.mk(m.seqCtx, int32(v), False, True)
-	atomic.AddInt32(m.rcPtr(r), 1)
-	return r
-}
+func (m *Manager) PeakSize() int { return m.peakNodes }
 
 // NewVar appends a fresh variable at the bottom of the current order and
 // returns its projection function (the BDD "v"). Projection nodes are
@@ -455,11 +335,13 @@ func (m *Manager) newVarLocked() Ref {
 // the manager (spaces, networks, cubes), and a reorder session must
 // never reclaim and reuse their slots.
 func (m *Manager) NewVar() Ref {
-	if m.par {
-		m.stw.Lock()
-		defer m.stw.Unlock()
-	}
-	return m.newVarLocked()
+	v := m.numVars
+	m.numVars++
+	m.var2level = append(m.var2level, int32(v))
+	m.level2var = append(m.level2var, int32(v))
+	r := m.mk(int32(v), False, True)
+	*m.rcPtr(r)++
+	return r
 }
 
 // NewVars creates n fresh variables and returns their projection
@@ -474,47 +356,35 @@ func (m *Manager) NewVars(n int) []Ref {
 
 // Var returns the projection function of variable id v.
 func (m *Manager) Var(v int) Ref {
-	if nv := m.NumVars(); v < 0 || v >= nv {
-		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, nv))
+	if v < 0 || v >= m.numVars {
+		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.numVars))
 	}
-	c := m.begin()
-	r := m.mk(c, m.var2level[v], False, True)
-	m.end(c)
-	return r
+	return m.varRef(v)
 }
 
 // NVar returns the negative literal of variable id v.
 func (m *Manager) NVar(v int) Ref {
-	if nv := m.NumVars(); v < 0 || v >= nv {
-		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, nv))
+	if v < 0 || v >= m.numVars {
+		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.numVars))
 	}
-	c := m.begin()
-	r := m.mk(c, m.var2level[v], True, False)
-	m.end(c)
-	return r
+	return m.mk(m.var2level[v], True, False)
 }
 
-// varRef is the internal projection builder used inside held operations
-// (public Var would re-enter the operation lock).
-func (m *Manager) varRef(c *kctx, v int) Ref {
-	return m.mk(c, m.var2level[v], False, True)
+// varRef is the unchecked projection builder used by the recursions.
+func (m *Manager) varRef(v int) Ref {
+	return m.mk(m.var2level[v], False, True)
 }
 
 // Level returns the current level of variable id v in the order.
-// Deliberately lock-free: the sifting driver queries it from inside a
-// reorder session (which holds the stop-the-world lock), so callers
-// outside a session must not run it concurrently with NewVar.
 func (m *Manager) Level(v int) int { return int(m.var2level[v]) }
 
 // VarAtLevel returns the variable id currently placed at the given
-// level. Lock-free with the same contract as Level.
+// level.
 func (m *Manager) VarAtLevel(l int) int { return int(m.level2var[l]) }
 
 // VarOf returns the variable id labelling the root node of f. It panics
 // if f is a terminal.
 func (m *Manager) VarOf(f Ref) int {
-	m.rlock()
-	defer m.runlock()
 	n := m.node(f)
 	if n.varID == terminalLevel {
 		panic("bdd: VarOf on terminal")
@@ -556,218 +426,121 @@ func (m *Manager) levelOf(f Ref) int32 { return m.nodeLevel(m.node(f)) }
 // identical nodes are shared through the unique table, and a node whose
 // low edge is complemented is re-rooted onto the complement of its
 // flipped twin so f and ¬f share one stored node.
-func (m *Manager) mk(c *kctx, level int32, low, high Ref) Ref {
+func (m *Manager) mk(level int32, low, high Ref) Ref {
 	if low == high {
 		return low
 	}
 	if isComp(low) {
-		c.compShared++
-		return neg(m.mkNode(c, level, neg(low), neg(high)))
+		m.statCompShared++
+		return neg(m.mkNode(level, neg(low), neg(high)))
 	}
-	return m.mkNode(c, level, low, high)
+	return m.mkNode(level, low, high)
 }
 
 // mkNode finds or allocates the stored node for the variable at the
 // given level; low must already be regular. The table keys on the
 // variable ID (what nodes store), so the level is translated exactly
-// once per probe. In parallel mode the probe and insert run under
-// the shard lock selected by the top hash bits; node fields are written
-// before the slot index is published, so the shard mutex (for same-shard
-// lookups) or any later synchronized hand-off of the Ref (cache
-// publication, future completion) orders the field writes before every
-// reader.
-func (m *Manager) mkNode(c *kctx, level int32, low, high Ref) Ref {
-	vid := m.level2var[level]
-	h := hash3(uint64(vid), uint64(low), uint64(high))
-	sh := &m.shards[h>>(64-shardBits)]
-	if c.par {
-		if !sh.mu.TryLock() {
-			c.contention++
-			sh.mu.Lock()
-		}
-	} else if m.session != nil {
+// once per probe.
+func (m *Manager) mkNode(level int32, low, high Ref) Ref {
+	if m.session != nil {
 		panic("bdd: operation during an active reorder session")
 	}
-	hh := h & sh.mask
+	vid := m.level2var[level]
+	hh := hash3(uint64(vid), uint64(low), uint64(high)) & m.tableMask
 	for {
-		idx := sh.slots[hh]
+		idx := m.table[hh]
 		if idx == 0 {
 			break
 		}
 		n := m.node(Ref(idx - 1))
 		if n.varID == vid && n.low == low && n.high == high {
-			if c.par {
-				sh.mu.Unlock()
-				m.gcProtect(Ref(idx - 1))
-			}
 			return Ref(idx - 1)
 		}
-		hh = (hh + 1) & sh.mask
+		hh = (hh + 1) & m.tableMask
 	}
 	// Not found: allocate. The probe loop left hh at an empty slot for
 	// this key, so insert there directly instead of rehashing.
-	r := m.allocSlot(c)
-	n := m.node(r)
-	n.varID, n.low, n.high = vid, low, high
-	sh.slots[hh] = int32(r) + 1
-	sh.count++
-	if 10*sh.count > 7*len(sh.slots) {
-		sh.grow(m)
+	r := m.allocSlot()
+	*m.node(r) = node{varID: vid, low: low, high: high}
+	m.table[hh] = int32(r) + 1
+	m.tableCount++
+	if 10*m.tableCount > 7*len(m.table) {
+		m.resizeTable(2 * len(m.table))
 	}
-	if c.par {
-		sh.mu.Unlock()
-		m.gcProtect(r)
-	}
-	m.afterAlloc(c)
+	m.afterAlloc()
 	return r
 }
 
-// gcProtect is the concurrent-GC resurrection barrier: while a mark
-// phase is in flight, any ref that surfaces from the unique table, an
-// operation cache, or IncRef — and whose slot predates the mark
-// snapshot — is queued for the collector, which marks it (transitively)
-// in the exclusive window before sweeping. Slots at or above the
-// watermark were allocated after the snapshot and are retained
-// wholesale. Off the mark phase this is one atomic load.
-func (m *Manager) gcProtect(f Ref) {
-	if !m.gcMarking.Load() {
-		return
-	}
-	if int64(regular(f)) >= m.gcWatermark.Load() {
-		return
-	}
-	m.gcMu.Lock()
-	m.gcResq = append(m.gcResq, f)
-	m.gcMu.Unlock()
-}
-
-// allocSlot pops a recycled slot or extends the arena. Free-list pushes
-// happen only at stop-the-world points (GC, reorder), so the parallel
-// path is a simple CAS pop against a stable backing array.
-func (m *Manager) allocSlot(c *kctx) Ref {
-	if c.par {
-		for {
-			top := m.freeLen.Load()
-			if top == 0 {
-				break
-			}
-			r := m.free[top-1]
-			if m.freeLen.CompareAndSwap(top, top-1) {
-				return r
-			}
-		}
-		i := m.nodeCap.Add(1) - 1
-		m.ensureChunk(i)
-		return Ref(i)
-	}
-	if top := m.freeLen.Load(); top > 0 {
+// allocSlot pops a recycled slot or extends the arena.
+func (m *Manager) allocSlot() Ref {
+	if top := len(m.free); top > 0 {
 		r := m.free[top-1]
-		m.freeLen.Store(top - 1)
+		m.free = m.free[:top-1]
 		return r
 	}
-	i := m.nodeCap.Add(1) - 1
-	m.ensureChunk(i)
-	return Ref(i)
-}
-
-// maxStore raises a to v if v is larger (monotonic gauge update).
-func maxStore(a *atomic.Int64, v int64) {
-	for {
-		old := a.Load()
-		if v <= old || a.CompareAndSwap(old, v) {
-			return
-		}
-	}
+	return m.newSlot()
 }
 
 // afterAlloc is mkNode's post-allocation bookkeeping: peak gauges, the
 // reorder growth trigger, and the allocation-driven cache-adaptation
-// checkpoint. Sequential mode keeps the exact per-allocation behaviour
-// of the classic kernel; parallel mode samples the gauges (every 64th
-// allocation per context) to stay off the shared cache lines, and turns
-// the adaptation check into a flag drained at the next stop-the-world
-// point — the caches must not be resized under concurrent probes.
-func (m *Manager) afterAlloc(c *kctx) {
-	c.allocs++
-	c.sinceAdapt++
-	if c.par {
-		if c.allocs&63 == 0 {
-			maxStore(&m.peakNodes, m.nodeCap.Load())
-			live := int64(m.Size())
-			maxStore(&m.peakLive, live)
-			if at := m.reorderAt.Load(); at > 0 && live >= at {
-				m.reorderPending.Store(true)
-			}
-		}
-		if c.sinceAdapt >= cacheAdaptEvery {
-			c.sinceAdapt = 0
-			m.adaptPending.Store(true)
-			if sc := m.Telemetry(); sc != nil {
-				sc.PublishNodes(m.Size(), int(m.peakLive.Load()))
-			}
-		}
-		return
-	}
-	maxStore(&m.peakNodes, m.nodeCap.Load())
-	live := int64(m.Size())
-	maxStore(&m.peakLive, live)
-	if at := m.reorderAt.Load(); at > 0 && live >= at {
+// checkpoint.
+func (m *Manager) afterAlloc() {
+	m.allocs++
+	m.sinceAdapt++
+	m.peakNodes = max(m.peakNodes, m.nodeCap)
+	live := m.Size()
+	m.peakLive = max(m.peakLive, live)
+	if m.reorderAt > 0 && live >= m.reorderAt {
 		// The growth trigger arms here; the reorder itself runs at the
 		// next safe point (MaybeReorder/MaybeGC), never inside an
 		// operation.
-		m.reorderPending.Store(true)
+		m.reorderPending = true
 	}
-	if c.sinceAdapt >= cacheAdaptEvery {
+	if m.sinceAdapt >= cacheAdaptEvery {
 		// Allocation-driven adaptation point: lets the caches grow in
 		// the middle of a long recursion that never reaches a GC. It is
 		// also the periodic checkpoint where the kernel publishes its
 		// node counts for the telemetry sampler — off the per-allocation
 		// hot path, but frequent enough that a blowup shows up in the
 		// timeline while it happens.
-		c.sinceAdapt = 0
-		c.flush(m)
+		m.sinceAdapt = 0
 		m.adaptCaches()
 		if sc := m.Telemetry(); sc != nil {
-			sc.PublishNodes(m.Size(), int(m.peakLive.Load()))
+			sc.PublishNodes(m.Size(), m.peakLive)
 		}
 	}
 }
 
-// tableInsert re-indexes node r during a stop-the-world rebuild (GC,
-// reorder Close).
+// tableInsert re-indexes node r during a rebuild (GC, reorder Close).
 func (m *Manager) tableInsert(r Ref) {
 	n := m.node(r)
-	h := hash3(uint64(n.varID), uint64(n.low), uint64(n.high))
-	sh := &m.shards[h>>(64-shardBits)]
-	hh := h & sh.mask
-	for sh.slots[hh] != 0 {
-		hh = (hh + 1) & sh.mask
+	hh := hash3(uint64(n.varID), uint64(n.low), uint64(n.high)) & m.tableMask
+	for m.table[hh] != 0 {
+		hh = (hh + 1) & m.tableMask
 	}
-	sh.slots[hh] = int32(r) + 1
-	sh.count++
-	if 10*sh.count > 7*len(sh.slots) {
-		sh.grow(m)
+	m.table[hh] = int32(r) + 1
+	m.tableCount++
+	if 10*m.tableCount > 7*len(m.table) {
+		m.resizeTable(2 * len(m.table))
 	}
 }
 
-// grow doubles one shard, re-probing its entries into the larger array.
-// Callers hold the shard lock (parallel mode) or are at a
-// stop-the-world point.
-func (sh *tableShard) grow(m *Manager) {
-	old := sh.slots
-	n := len(old) * 2
-	sh.slots = make([]int32, n)
-	sh.mask = uint64(n - 1)
+// resizeTable re-probes every entry of the unique table into a table of
+// size slots (a power of two).
+func (m *Manager) resizeTable(size int) {
+	old := m.table
+	m.table = make([]int32, size)
+	m.tableMask = uint64(size - 1)
 	for _, idx := range old {
 		if idx == 0 {
 			continue
 		}
 		nd := m.node(Ref(idx - 1))
-		h := hash3(uint64(nd.varID), uint64(nd.low), uint64(nd.high)) & sh.mask
-		for sh.slots[h] != 0 {
-			h = (h + 1) & sh.mask
+		h := hash3(uint64(nd.varID), uint64(nd.low), uint64(nd.high)) & m.tableMask
+		for m.table[h] != 0 {
+			h = (h + 1) & m.tableMask
 		}
-		sh.slots[h] = idx
+		m.table[h] = idx
 	}
 }
 
@@ -775,7 +548,7 @@ func (sh *tableShard) grow(m *Manager) {
 // it. The bitmap is shared by GC and unique-table rebuilds, so neither
 // allocates per collection.
 func (m *Manager) resetMarks() {
-	n := (int(m.nodeCap.Load()) + 63) / 64
+	n := (m.nodeCap + 63) / 64
 	if cap(m.marks) < n {
 		m.marks = make([]uint64, n)
 		return
@@ -799,7 +572,7 @@ func hash3(a, b, c uint64) uint64 {
 // check panics if f is not a plausible handle for this manager. It is
 // used at public API boundaries.
 func (m *Manager) check(f Ref) {
-	if int64(regular(f)) >= m.nodeCap.Load() {
-		panic(fmt.Sprintf("bdd: invalid ref %d (manager has %d nodes)", f, m.nodeCap.Load()))
+	if int(regular(f)) >= m.nodeCap {
+		panic(fmt.Sprintf("bdd: invalid ref %d (manager has %d nodes)", f, m.nodeCap))
 	}
 }

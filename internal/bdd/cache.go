@@ -1,10 +1,6 @@
 package bdd
 
-import (
-	"sync/atomic"
-
-	"hsis/internal/telemetry"
-)
+import "hsis/internal/telemetry"
 
 // The adaptive operation-cache layer. The four direct-mapped caches
 // (ITE, binary ops, Exists, AndExists) start at fixed power-of-two sizes
@@ -90,13 +86,11 @@ func (m *Manager) SetCacheBudget(entries int) { m.cacheBudget = entries }
 
 // adaptCaches runs one adaptation check per cache. It is O(1) unless a
 // cache actually grows, so callers (MaybeGC, GC) can invoke it freely.
-// In parallel mode it must run at a stop-the-world point: growth swaps
-// the cache arrays out from under concurrent probes.
 func (m *Manager) adaptCaches() {
-	m.adaptOne(cacheITE, m.statITECalls.Load(), m.statITEHits.Load())
-	m.adaptOne(cacheBinop, m.statApplyCalls.Load(), m.statApplyHits.Load())
-	m.adaptOne(cacheQuant, m.statQuantCalls.Load(), m.statQuantHits.Load())
-	m.adaptOne(cacheAex, m.statAexCalls.Load(), m.statAexHits.Load())
+	m.adaptOne(cacheITE, m.statITECalls, m.statITEHits)
+	m.adaptOne(cacheBinop, m.statApplyCalls, m.statApplyHits)
+	m.adaptOne(cacheQuant, m.statQuantCalls, m.statQuantHits)
+	m.adaptOne(cacheAex, m.statAexCalls, m.statAexHits)
 }
 
 func (m *Manager) adaptOne(id cacheID, calls, hits uint64) {
@@ -223,7 +217,7 @@ func (m *Manager) growCache(id cacheID) {
 			m.aex[hash3(uint64(e.f), uint64(e.g), uint64(e.cube))&m.aexMask] = e
 		}
 	}
-	m.statCacheGrowths.Add(1)
+	m.statCacheGrowths++
 	if sc := m.Telemetry(); sc != nil {
 		sc.Emit("bdd.cache_grow",
 			telemetry.Str("cache", id.String()),
@@ -309,133 +303,6 @@ func pow2AtLeast(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// Lock-free cache publication (parallel mode). Each slot carries a
-// sequence word: a writer moves it odd with a CAS, stores the fields,
-// and moves it back even; a reader snapshots the word, copies the
-// fields, and accepts the copy only if the word is unchanged and even.
-// A writer that loses the CAS simply skips the store — the result is
-// already canonical in the unique table, so a dropped cache entry costs
-// a recomputation, never correctness. Exact key comparison on the copy
-// means a torn or stale slot can only miss, never return a wrong
-// result — the property a verification kernel cannot compromise on.
-//
-// The fields are stored with address-based atomics over the plain
-// struct fields, so sequential mode keeps its direct loads and stores
-// of the very same slots: the two access modes never overlap (mode
-// switches happen at quiescent points, and within parallel mode every
-// access is atomic or stop-the-world).
-
-func refLoad(p *Ref) Ref     { return Ref(atomic.LoadInt32((*int32)(p))) }
-func refStore(p *Ref, v Ref) { atomic.StoreInt32((*int32)(p), int32(v)) }
-
-func (e *iteEntry) loadPar() (iteEntry, bool) {
-	s := atomic.LoadUint32(&e.seq)
-	if s&1 != 0 {
-		return iteEntry{}, false
-	}
-	out := iteEntry{
-		f: refLoad(&e.f), g: refLoad(&e.g), h: refLoad(&e.h), res: refLoad(&e.res),
-	}
-	if atomic.LoadUint32(&e.seq) != s {
-		return iteEntry{}, false
-	}
-	return out, true
-}
-
-func (e *iteEntry) storePar(v iteEntry) bool {
-	s := atomic.LoadUint32(&e.seq)
-	if s&1 != 0 || !atomic.CompareAndSwapUint32(&e.seq, s, s+1) {
-		return false
-	}
-	refStore(&e.f, v.f)
-	refStore(&e.g, v.g)
-	refStore(&e.h, v.h)
-	refStore(&e.res, v.res)
-	atomic.StoreUint32(&e.seq, s+2)
-	return true
-}
-
-func (e *binopEntry) loadPar() (binopEntry, bool) {
-	s := atomic.LoadUint32(&e.seq)
-	if s&1 != 0 {
-		return binopEntry{}, false
-	}
-	out := binopEntry{
-		op: atomic.LoadInt32(&e.op),
-		f:  refLoad(&e.f), g: refLoad(&e.g), res: refLoad(&e.res),
-	}
-	if atomic.LoadUint32(&e.seq) != s {
-		return binopEntry{}, false
-	}
-	return out, true
-}
-
-func (e *binopEntry) storePar(v binopEntry) bool {
-	s := atomic.LoadUint32(&e.seq)
-	if s&1 != 0 || !atomic.CompareAndSwapUint32(&e.seq, s, s+1) {
-		return false
-	}
-	atomic.StoreInt32(&e.op, v.op)
-	refStore(&e.f, v.f)
-	refStore(&e.g, v.g)
-	refStore(&e.res, v.res)
-	atomic.StoreUint32(&e.seq, s+2)
-	return true
-}
-
-func (e *quantEntry) loadPar() (quantEntry, bool) {
-	s := atomic.LoadUint32(&e.seq)
-	if s&1 != 0 {
-		return quantEntry{}, false
-	}
-	out := quantEntry{
-		f: refLoad(&e.f), cube: refLoad(&e.cube), res: refLoad(&e.res),
-	}
-	if atomic.LoadUint32(&e.seq) != s {
-		return quantEntry{}, false
-	}
-	return out, true
-}
-
-func (e *quantEntry) storePar(v quantEntry) bool {
-	s := atomic.LoadUint32(&e.seq)
-	if s&1 != 0 || !atomic.CompareAndSwapUint32(&e.seq, s, s+1) {
-		return false
-	}
-	refStore(&e.f, v.f)
-	refStore(&e.cube, v.cube)
-	refStore(&e.res, v.res)
-	atomic.StoreUint32(&e.seq, s+2)
-	return true
-}
-
-func (e *aexEntry) loadPar() (aexEntry, bool) {
-	s := atomic.LoadUint32(&e.seq)
-	if s&1 != 0 {
-		return aexEntry{}, false
-	}
-	out := aexEntry{
-		f: refLoad(&e.f), g: refLoad(&e.g), cube: refLoad(&e.cube), res: refLoad(&e.res),
-	}
-	if atomic.LoadUint32(&e.seq) != s {
-		return aexEntry{}, false
-	}
-	return out, true
-}
-
-func (e *aexEntry) storePar(v aexEntry) bool {
-	s := atomic.LoadUint32(&e.seq)
-	if s&1 != 0 || !atomic.CompareAndSwapUint32(&e.seq, s, s+1) {
-		return false
-	}
-	refStore(&e.f, v.f)
-	refStore(&e.g, v.g)
-	refStore(&e.cube, v.cube)
-	refStore(&e.res, v.res)
-	atomic.StoreUint32(&e.seq, s+2)
-	return true
 }
 
 // sweepCaches drops every cache entry that references a node reclaimed

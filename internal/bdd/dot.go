@@ -15,8 +15,6 @@ import (
 // the 0-terminal. Low (else) edges are dashed and, by the canonical-form
 // invariant, never complemented.
 func (m *Manager) WriteDot(w io.Writer, names []string, roots map[string]Ref) error {
-	m.rlock()
-	defer m.runlock()
 	nodes := make(map[Ref]bool)
 	var keys []string
 	for k, f := range roots {

@@ -164,10 +164,8 @@ func runFuzzProgram(m *Manager, prog []byte) []fuzzEntry {
 			for k := 0; k < 4; k++ {
 				s.Swap((arg + k) % (fuzzVars - 1))
 			}
-			// Probe a pair for symmetry (the verdict is irrelevant; the
-			// probe must not disturb anything) and take one O(span) jump
-			// across the first non-interacting adjacent pair, if any.
-			s.ProbeSymmetry(arg % (fuzzVars - 1))
+			// Take one O(span) jump across the first non-interacting
+			// adjacent pair, if any.
 			for l := 0; l+1 < fuzzVars; l++ {
 				if !s.Interacts(m.VarAtLevel(l), m.VarAtLevel(l+1)) {
 					s.MoveBlock(l, 1, 1)
@@ -215,7 +213,7 @@ func FuzzComplementKernel(f *testing.F) {
 	// Reordering interleaved with construction, quantification and GC.
 	f.Add([]byte{0, 3, 0, 5, 3, 12, 0, 0, 4, 3, 12, 4, 8, 2})
 	f.Add([]byte{0, 1, 0, 2, 12, 8, 3, 11, 0, 6, 12, 0, 7, 7, 12, 1})
-	// Symmetric-group registration interleaved with ops, swaps and GC.
+	// Group registration interleaved with ops, swaps and GC.
 	f.Add([]byte{0, 2, 0, 3, 3, 13, 2, 12, 2, 0, 4, 5, 13, 5, 11, 12, 0})
 	f.Add([]byte{13, 0, 0, 0, 1, 5, 3, 12, 4, 13, 8, 11, 0, 6, 7, 12, 9})
 	f.Fuzz(func(t *testing.T, prog []byte) {

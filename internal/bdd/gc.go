@@ -2,8 +2,6 @@ package bdd
 
 import (
 	"math/bits"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"hsis/internal/telemetry"
@@ -20,67 +18,38 @@ import (
 // The mark phase uses the Manager's reusable bitmap (no per-collection
 // allocation), and the operation caches are swept — entries whose
 // operands and result all survived are kept — rather than cleared.
-//
-// In parallel mode a collection is a stop-the-world epoch: GC takes the
-// write side of the epoch lock, so it excludes every operation, and the
-// safe-point contract is unchanged — GC and MaybeGC must be called from
-// one orchestrating goroutine while no other goroutine holds
-// unprotected Refs. Inside a ParallelDo section MaybeGC is a no-op,
-// because sibling tasks hold unprotected intermediate Refs by design.
 
 // IncRef marks f as externally referenced and returns f for chaining.
-// It is also a resurrection-barrier site: protecting a ref during a
-// concurrent mark phase queues it for the collector, so a root acquired
-// after the mark snapshot cannot be swept.
 func (m *Manager) IncRef(f Ref) Ref {
 	m.check(f)
-	m.rlock()
-	atomic.AddInt32(m.rcPtr(f), 1)
-	m.gcProtect(f)
-	m.runlock()
+	*m.rcPtr(f)++
 	return f
 }
 
 // DecRef releases one external reference to f.
 func (m *Manager) DecRef(f Ref) {
 	m.check(f)
-	m.rlock()
-	if atomic.AddInt32(m.rcPtr(f), -1) < 0 {
+	rc := m.rcPtr(f)
+	if *rc--; *rc < 0 {
 		panic("bdd: DecRef without matching IncRef")
 	}
-	m.runlock()
 }
 
 // GC sweeps all nodes not reachable from externally referenced roots and
 // rebuilds the unique table. Operation-cache entries survive when every
 // node they mention is still live. All Refs not protected (directly or
 // transitively) by IncRef are invalidated.
-//
-// Sequential mode collects in one step. Parallel mode runs the
-// concurrent protocol in gcParallel: a brief pulse to snapshot the
-// arena, a mark phase that runs concurrently with kernel operations
-// (the pool workers help), and a short exclusive window for the sweep
-// and table rebuild — so a collection no longer stalls every in-flight
-// fixpoint for the full mark.
 func (m *Manager) GC() {
-	if m.par {
-		m.gcParallel()
-		return
-	}
 	if m.session != nil {
 		panic("bdd: GC during an active reorder session")
 	}
 	gcStart := time.Now()
-	m.seqCtx.flush(m)
-	alloc := int(m.nodeCap.Load())
+	alloc := m.nodeCap
 	m.resetMarks()
 	m.setMark(0) // the terminal is always live
 	for base := 0; base < alloc; base += chunkSize {
-		ch := m.chunks[base>>chunkShift].Load()
-		n := chunkSize
-		if alloc-base < n {
-			n = alloc - base
-		}
+		ch := m.chunks[base>>chunkShift]
+		n := min(chunkSize, alloc-base)
 		for j := 0; j < n; j++ {
 			if ch.refs[j] > 0 {
 				m.mark(Ref(base + j))
@@ -89,9 +58,9 @@ func (m *Manager) GC() {
 	}
 	markDur := time.Since(gcStart)
 	sweepStart := time.Now()
-	live := m.gcFinish(alloc, alloc)
+	live := m.sweep(alloc)
 	if sc := m.Telemetry(); sc != nil {
-		sc.PublishNodes(m.Size(), int(m.peakLive.Load()))
+		sc.PublishNodes(m.Size(), m.peakLive)
 		sc.EmitElapsed("bdd.gc_mark", markDur,
 			telemetry.Int("live", live))
 		sc.EmitElapsed("bdd.gc", time.Since(sweepStart),
@@ -104,138 +73,11 @@ func (m *Manager) GC() {
 	}
 }
 
-// gcParallel is the parallel-mode collection: concurrent mark, short
-// exclusive sweep.
-//
-// Phase A (pulse, exclusive): wait out in-flight operations, snapshot
-// the allocation watermark, reset the mark bitmap, and raise the
-// gcMarking flag. From here every operation routes table hits, L2/L1
-// cache hits, free-slot reuse and IncRef through gcProtect, which
-// queues refs below the watermark on gcResq.
-//
-// Phase B (concurrent): scan every pre-watermark slot for an external
-// reference count and mark reachable nodes, with CAS-set bits so the
-// pool workers can help via futMark tasks. Operations proceed freely:
-// any pre-watermark ref they can possibly surface comes from the table,
-// a cache, or IncRef — all barrier sites — and interior nodes are
-// covered transitively when the queue drains. Nodes at or above the
-// watermark are retained wholesale this cycle.
-//
-// Phase C (exclusive window): stop the world again, drop the flag,
-// extend the bitmap over post-snapshot allocations, mark them and the
-// queued refs, then sweep, rebuild the table, and resize the caches —
-// the only full stop, and it no longer includes the mark.
-func (m *Manager) gcParallel() {
-	if !m.gcActive.CompareAndSwap(false, true) {
-		return // a collection is already in flight
-	}
-	defer m.gcActive.Store(false)
-
-	// Phase A: pulse.
-	pulseStart := time.Now()
-	m.stw.Lock()
-	if m.session != nil {
-		m.stw.Unlock()
-		panic("bdd: GC during an active reorder session")
-	}
-	m.seqCtx.flush(m)
-	watermark := m.nodeCap.Load()
-	m.resetMarks()
-	m.setMark(0) // the terminal is always live
-	m.gcMu.Lock()
-	m.gcResq = m.gcResq[:0]
-	m.gcMu.Unlock()
-	m.gcWatermark.Store(watermark)
-	m.gcMarking.Store(true)
-	m.stw.Unlock()
-	pulseDur := time.Since(pulseStart)
-
-	// Phase B: concurrent mark. Chunk-sized ranges go to the pool; this
-	// goroutine scans alongside the workers and then joins its own
-	// futures — never helpOne, which could hand it an application future
-	// to run under the sequential context.
-	markStart := time.Now()
-	alloc := int(watermark)
-	if m.pool != nil && alloc > chunkSize {
-		var futs []*future
-		for base := chunkSize; base < alloc; base += chunkSize {
-			end := base + chunkSize
-			if end > alloc {
-				end = alloc
-			}
-			fu := &future{m: m, kind: futMark, f: Ref(base), g: Ref(end)}
-			futs = append(futs, fu)
-			m.pool.push(fu)
-		}
-		m.markRange(0, chunkSize)
-		for _, fu := range futs {
-			if runIfPending(fu, m.seqCtx) {
-				continue
-			}
-			for fu.state.Load() != futDone {
-				runtime.Gosched()
-			}
-		}
-	} else {
-		m.markRange(0, alloc)
-	}
-	markDur := time.Since(markStart)
-
-	// Phase C: exclusive window.
-	exStart := time.Now()
-	m.stw.Lock()
-	m.gcMarking.Store(false)
-	alloc = int(m.nodeCap.Load())
-	// Extend the bitmap over post-snapshot allocations and retain them
-	// wholesale (they are this cycle's floor, collected next time).
-	// Their children may sit below the watermark, so mark through them.
-	nw := (alloc + 63) / 64
-	if old := len(m.marks); nw > old {
-		if cap(m.marks) >= nw {
-			m.marks = m.marks[:nw]
-			clear(m.marks[old:])
-		} else {
-			grown := make([]uint64, nw)
-			copy(grown, m.marks)
-			m.marks = grown
-		}
-	}
-	for i := int(watermark); i < alloc; i++ {
-		m.setMark(Ref(i))
-		n := m.node(Ref(i))
-		m.mark(n.low)
-		m.mark(n.high)
-	}
-	// Drain the resurrection queue: every pre-watermark ref surfaced
-	// during the mark, marked transitively.
-	m.gcMu.Lock()
-	for _, f := range m.gcResq {
-		m.mark(f)
-	}
-	m.gcResq = m.gcResq[:0]
-	m.gcMu.Unlock()
-	live := m.gcFinish(alloc, alloc)
-	m.stw.Unlock()
-	if sc := m.Telemetry(); sc != nil {
-		sc.PublishNodes(m.Size(), int(m.peakLive.Load()))
-		sc.EmitElapsed("bdd.gc_mark", markDur,
-			telemetry.Int("live", live))
-		sc.EmitElapsed("bdd.gc", pulseDur+time.Since(exStart),
-			telemetry.Int("live", live),
-			telemetry.Int("dead", alloc-live),
-			telemetry.Int("kept_cache_entries", m.statCacheKept))
-	}
-	if m.OnGC != nil {
-		m.OnGC(live, alloc-live)
-	}
-}
-
-// gcFinish is the shared tail of both collectors: count the marked
-// nodes, rebuild the unique table, sweep the dead into the free list,
-// and resize/sweep the operation caches. The mark bitmap must cover
-// [0, alloc) and the caller must be at an exclusive point. It returns
-// the live count.
-func (m *Manager) gcFinish(alloc, scanned int) int {
+// sweep is the collection's second half: count the marked nodes,
+// rebuild the unique table, sweep the dead into the free list, and
+// resize/sweep the operation caches. The mark bitmap must cover
+// [0, alloc). It returns the live count.
+func (m *Manager) sweep(alloc int) int {
 	live := 0
 	for _, w := range m.marks {
 		live += bits.OnesCount64(w)
@@ -246,30 +88,20 @@ func (m *Manager) gcFinish(alloc, scanned int) int {
 	// last GC) so a steady-state loop that rebuilds a large forest every
 	// iteration keeps its structures, while a loop over a small working
 	// set stops paying for a long-gone peak.
-	demand := live
-	if d := int(m.allocs.Load() - m.allocsAtGC); d > demand {
-		demand = d
+	demand := max(live, int(m.allocs-m.allocsAtGC))
+	m.allocsAtGC = m.allocs
+	// Rebuild the unique table. A table sized for a long-gone peak makes
+	// every later collection wipe megabytes to reinsert a few hundred
+	// survivors, so shrink it when demand has fallen well below it (2×
+	// hysteresis; the table regrows on its load factor as usual).
+	size := max(pow2AtLeast(4*demand), defaultTableSize)
+	if 2*size <= len(m.table) {
+		m.table = make([]int32, size)
+		m.tableMask = uint64(size - 1)
+	} else {
+		clear(m.table)
 	}
-	m.allocsAtGC = m.allocs.Load()
-	// Rebuild the unique table shard by shard. A table sized for a
-	// long-gone peak makes every later collection wipe megabytes to
-	// reinsert a few hundred survivors, so shrink each shard when demand
-	// has fallen well below it (2× hysteresis; shards regrow on their
-	// load factor as usual).
-	perShard := pow2AtLeast(4 * demand / numShards)
-	if perShard < initShardSlots {
-		perShard = initShardSlots
-	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		if 2*perShard <= len(sh.slots) {
-			sh.slots = make([]int32, perShard)
-			sh.mask = uint64(perShard - 1)
-		} else {
-			clear(sh.slots)
-		}
-		sh.count = 0
-	}
+	m.tableCount = 0
 	// Sweep into the free list.
 	m.free = m.free[:0]
 	for i := 1; i < alloc; i++ {
@@ -279,7 +111,6 @@ func (m *Manager) gcFinish(alloc, scanned int) int {
 			m.free = append(m.free, Ref(i))
 		}
 	}
-	m.freeLen.Store(int64(len(m.free)))
 	m.GCCount++
 	m.lastLive = live
 	// The mark bitmap is still valid here: use it to retain cache
@@ -288,17 +119,12 @@ func (m *Manager) gcFinish(alloc, scanned int) int {
 	// so skip the scan, wipe, and shrink toward the live set. Then give
 	// each cache a chance to grow if its hit rate collapsed since the
 	// last check.
-	if 4*live >= scanned {
+	if 4*live >= alloc {
 		m.sweepCaches()
 	} else {
 		m.clearCaches(demand)
 	}
-	m.adaptPending.Store(false)
 	m.adaptCaches()
-	// Invalidate every private L1 op cache: their entries may reference
-	// swept slots, and unlike the shared caches they are not sweepable
-	// from here.
-	m.cacheEpoch.Add(1)
 	return live
 }
 
@@ -314,77 +140,16 @@ func (m *Manager) mark(f Ref) {
 	}
 }
 
-// markRange scans arena slots [lo, hi) for externally referenced nodes
-// and marks everything reachable from them. It is the concurrent-mark
-// work unit: reference counts are read atomically (IncRef runs
-// concurrently) and bits are CAS-set, so any number of rangers —
-// futMark tasks on the pool plus the collecting goroutine — can share
-// the scan. It only ever touches pre-watermark slots, whose node fields
-// are immutable while the collection is in flight (free slots are
-// unreachable, and reused free slots are reached only via the
-// resurrection queue, after this phase).
-func (m *Manager) markRange(lo, hi int) {
-	for i := lo; i < hi; {
-		ch := m.chunks[i>>chunkShift].Load()
-		end := (i | chunkMask) + 1
-		if end > hi {
-			end = hi
-		}
-		for ; i < end; i++ {
-			if atomic.LoadInt32(&ch.refs[i&chunkMask]) > 0 {
-				m.markPar(Ref(i))
-			}
-		}
-	}
-}
-
-// markPar is mark with CAS-set bits, for the concurrent phase. The
-// terminal's bit is set before the phase starts, so traversal stops
-// there without a special case.
-func (m *Manager) markPar(f Ref) {
-	f = regular(f)
-	for m.setMarkAtomic(f) {
-		n := m.node(f)
-		m.markPar(n.low)
-		f = regular(n.high)
-	}
-}
-
-// setMarkAtomic CAS-sets f's live bit, reporting whether this call set
-// it (go 1.22 lacks atomic Or-fetch, hence the loop).
-func (m *Manager) setMarkAtomic(f Ref) bool {
-	w := &m.marks[f>>6]
-	bit := uint64(1) << (uint(f) & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&bit != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|bit) {
-			return true
-		}
-	}
-}
-
 // MaybeGC runs a collection if the node count has crossed the adaptive
 // threshold. It returns true if a collection ran. Even when no
 // collection is due it performs the O(1) cache-adaptation check, so
 // fixpoint loops that never trigger a GC still grow their caches.
-// Inside a ParallelDo section it is a no-op.
 func (m *Manager) MaybeGC() bool {
-	if m.sections.Load() > 0 {
-		return false
-	}
 	// MaybeGC call sites already satisfy the protection contract a
 	// reorder needs, so a pending automatic reorder drains here too.
 	m.MaybeReorder()
 	if !m.gcEnabled || m.Size() < m.autoGCAt {
-		if m.par {
-			m.tryAdapt()
-		} else {
-			m.seqCtx.flush(m)
-			m.adaptCaches()
-		}
+		m.adaptCaches()
 		return false
 	}
 	before := m.Size()
@@ -398,12 +163,11 @@ func (m *Manager) MaybeGC() bool {
 }
 
 // GCPending reports whether the next MaybeGC call would collect — the
-// node count has crossed the adaptive threshold and no ParallelDo
-// section defers collection. Fixpoint loops use it to gate the IncRef
-// traffic that protects their loop state across a safe point, the same
-// way ReorderPending gates reorder protection.
+// node count has crossed the adaptive threshold. Fixpoint loops use it
+// to gate the IncRef traffic that protects their loop state across a
+// safe point, the same way ReorderPending gates reorder protection.
 func (m *Manager) GCPending() bool {
-	return m.gcEnabled && m.Size() >= m.autoGCAt && m.sections.Load() == 0
+	return m.gcEnabled && m.Size() >= m.autoGCAt
 }
 
 // SetGCThreshold sets the node count at which MaybeGC collects.

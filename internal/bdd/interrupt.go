@@ -15,8 +15,7 @@ package bdd
 // Manager, so leaked refcounts or garbage on the way out are reclaimed
 // with the manager itself). Callers that interrupt must therefore wrap
 // the top of the computation with recover and match ErrInterrupted —
-// see RecoverInterrupt. ParallelDo re-raises a task panic on the calling
-// goroutine, so the contract holds under the concurrent kernel too.
+// see RecoverInterrupt.
 //
 // The check is one atomic load; an uninterrupted run pays nothing
 // measurable.

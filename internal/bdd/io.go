@@ -22,8 +22,6 @@ import (
 //	n 3 1 F !2        # high edge is the complement of node 2
 //	root init 3
 func (m *Manager) WriteBDDs(w io.Writer, roots map[string]Ref) error {
-	m.rlock()
-	defer m.runlock()
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "bdd %d\n", m.numVars)
 	// collect stored nodes reachable from all roots
@@ -75,12 +73,8 @@ func (m *Manager) WriteBDDs(w io.Writer, roots map[string]Ref) error {
 
 // ReadBDDs reconstructs functions written by WriteBDDs into this
 // manager. The manager must have at least as many variables as the
-// writer had; missing variables are created. Because it may create
-// variables mid-stream it runs as one exclusive (stop-the-world) epoch
-// in parallel mode rather than an ordinary operation.
+// writer had; missing variables are created.
 func (m *Manager) ReadBDDs(r io.Reader) (map[string]Ref, error) {
-	kc := m.exclusive()
-	defer m.release(kc)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	out := map[string]Ref{}
@@ -117,7 +111,7 @@ func (m *Manager) ReadBDDs(r io.Reader) (map[string]Ref, error) {
 				return nil, fmt.Errorf("bdd: line %d: %v", lineNo, err)
 			}
 			for m.numVars < nv {
-				m.newVarLocked()
+				m.NewVar()
 			}
 		case "n":
 			if len(fields) != 5 {
@@ -141,7 +135,7 @@ func (m *Manager) ReadBDDs(r io.Reader) (map[string]Ref, error) {
 			// rebuild with ITE rather than mk so the dump stays valid
 			// even if the reading manager uses a different variable
 			// order (ITE re-normalizes; mk would not)
-			remap[fields[1]] = m.iteRec(kc, m.varRef(kc, v), high, low, 0)
+			remap[fields[1]] = m.iteRec(m.varRef(v), high, low)
 		case "root":
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("bdd: line %d: malformed root", lineNo)

@@ -6,13 +6,6 @@ package bdd
 // AND cache, Not is a single XOR — so f, ¬f, f∧g, ¬f∨¬g … all draw on
 // one shared DAG and one set of cache entries. Results are canonical by
 // construction.
-//
-// Every recursion threads a kernel context (ctx.go) carrying the
-// execution mode and counters, plus its depth, which drives the
-// fork/join cutoff: in parallel mode an AND node near the recursion
-// root forks its high cofactor onto the worker pool and computes the
-// low cofactor inline (pool.go). Canonicity makes the result identical
-// either way.
 
 // Not returns the complement of f in O(1): complement edges make
 // negation a sign flip, with no node allocation and no recursion.
@@ -25,60 +18,42 @@ func (m *Manager) Not(f Ref) Ref {
 func (m *Manager) And(f, g Ref) Ref {
 	m.check(f)
 	m.check(g)
-	c := m.begin()
-	r := m.andRec(c, f, g, 0)
-	m.end(c)
-	return r
+	return m.andRec(f, g)
 }
 
 // Or returns f OR g.
 func (m *Manager) Or(f, g Ref) Ref {
 	m.check(f)
 	m.check(g)
-	c := m.begin()
-	r := m.or(c, f, g, 0)
-	m.end(c)
-	return r
+	return m.or(f, g)
 }
 
 // Xor returns f XOR g.
 func (m *Manager) Xor(f, g Ref) Ref {
 	m.check(f)
 	m.check(g)
-	c := m.begin()
-	r := m.xorRec(c, f, g)
-	m.end(c)
-	return r
+	return m.xorRec(f, g)
 }
 
 // Diff returns f AND NOT g.
 func (m *Manager) Diff(f, g Ref) Ref {
 	m.check(f)
 	m.check(g)
-	c := m.begin()
-	r := m.andRec(c, f, neg(g), 0)
-	m.end(c)
-	return r
+	return m.andRec(f, neg(g))
 }
 
 // Implies returns NOT f OR g.
 func (m *Manager) Implies(f, g Ref) Ref {
 	m.check(f)
 	m.check(g)
-	c := m.begin()
-	r := neg(m.andRec(c, f, neg(g), 0))
-	m.end(c)
-	return r
+	return neg(m.andRec(f, neg(g)))
 }
 
 // Equiv returns the biconditional f XNOR g.
 func (m *Manager) Equiv(f, g Ref) Ref {
 	m.check(f)
 	m.check(g)
-	c := m.begin()
-	r := neg(m.xorRec(c, f, g))
-	m.end(c)
-	return r
+	return neg(m.xorRec(f, g))
 }
 
 // ITE returns if-then-else(f, g, h) = f·g + f'·h.
@@ -86,56 +61,46 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	m.check(f)
 	m.check(g)
 	m.check(h)
-	c := m.begin()
-	r := m.iteRec(c, f, g, h, 0)
-	m.end(c)
-	return r
+	return m.iteRec(f, g, h)
 }
 
 // AndN folds And over its arguments; AndN() is True.
 func (m *Manager) AndN(fs ...Ref) Ref {
-	c := m.begin()
 	r := True
 	for _, f := range fs {
 		m.check(f)
-		r = m.andRec(c, r, f, 0)
+		r = m.andRec(r, f)
 		if r == False {
 			break
 		}
 	}
-	m.end(c)
 	return r
 }
 
 // OrN folds Or over its arguments; OrN() is False.
 func (m *Manager) OrN(fs ...Ref) Ref {
-	c := m.begin()
 	r := False
 	for _, f := range fs {
 		m.check(f)
-		r = m.or(c, r, f, 0)
+		r = m.or(r, f)
 		if r == True {
 			break
 		}
 	}
-	m.end(c)
 	return r
 }
 
 // Leq reports whether f implies g (f ≤ g pointwise).
 func (m *Manager) Leq(f, g Ref) bool {
-	c := m.begin()
-	r := m.andRec(c, f, neg(g), 0)
-	m.end(c)
-	return r == False
+	return m.andRec(f, neg(g)) == False
 }
 
 // or is the internal disjunction: ¬(¬f ∧ ¬g), sharing the AND cache.
-func (m *Manager) or(c *kctx, f, g Ref, depth int32) Ref {
-	return neg(m.andRec(c, neg(f), neg(g), depth))
+func (m *Manager) or(f, g Ref) Ref {
+	return neg(m.andRec(neg(f), neg(g)))
 }
 
-func (m *Manager) andRec(c *kctx, f, g Ref, depth int32) Ref {
+func (m *Manager) andRec(f, g Ref) Ref {
 	// Terminal and complement-identity cases.
 	switch {
 	case f == g:
@@ -150,22 +115,11 @@ func (m *Manager) andRec(c *kctx, f, g Ref, depth int32) Ref {
 	if f > g {
 		f, g = g, f
 	}
-	c.applyCalls++
+	m.statApplyCalls++
 	h := hash3(opAnd, uint64(f), uint64(g))
 	slot := &m.binop[h&m.binopMask]
-	if c.par {
-		if r, ok := c.l1probe(h, l1And, f, g, 0); ok {
-			c.applyHits++
-			return r
-		}
-		if e, ok := slot.loadPar(); ok && e.op == opAnd && e.f == f && e.g == g {
-			c.applyHits++
-			m.gcProtect(e.res)
-			c.l1put(h, l1And, f, g, 0, e.res)
-			return e.res
-		}
-	} else if slot.op == opAnd && slot.f == f && slot.g == g {
-		c.applyHits++
+	if slot.op == opAnd && slot.f == f && slot.g == g {
+		m.statApplyHits++
 		return slot.res
 	}
 	lf, f0, f1 := m.top(f)
@@ -180,25 +134,14 @@ func (m *Manager) andRec(c *kctx, f, g Ref, depth int32) Ref {
 	if lg != level {
 		g0, g1 = g, g
 	}
-	var low, high Ref
-	if c.canFork(depth, level) {
-		fu := c.forkTask(futAnd, f1, g1, False, depth+1)
-		low = m.andRec(c, f0, g0, depth+1)
-		high = c.join(fu)
-	} else {
-		low = m.andRec(c, f0, g0, depth+1)
-		high = m.andRec(c, f1, g1, depth+1)
-	}
-	r := m.mk(c, level, low, high)
-	if c.par {
-		c.l1store(h, l1And, cacheBinop, opAnd, f, g, 0, r)
-	} else {
-		*slot = binopEntry{op: opAnd, f: f, g: g, res: r}
-	}
+	low := m.andRec(f0, g0)
+	high := m.andRec(f1, g1)
+	r := m.mk(level, low, high)
+	*slot = binopEntry{op: opAnd, f: f, g: g, res: r}
 	return r
 }
 
-func (m *Manager) xorRec(c *kctx, f, g Ref) Ref {
+func (m *Manager) xorRec(f, g Ref) Ref {
 	switch {
 	case f == g:
 		return False
@@ -222,22 +165,11 @@ func (m *Manager) xorRec(c *kctx, f, g Ref) Ref {
 	if f > g {
 		f, g = g, f
 	}
-	c.applyCalls++
+	m.statApplyCalls++
 	h := hash3(opXor, uint64(f), uint64(g))
 	slot := &m.binop[h&m.binopMask]
-	if c.par {
-		if r, ok := c.l1probe(h, l1Xor, f, g, 0); ok {
-			c.applyHits++
-			return r ^ cm
-		}
-		if e, ok := slot.loadPar(); ok && e.op == opXor && e.f == f && e.g == g {
-			c.applyHits++
-			m.gcProtect(e.res)
-			c.l1put(h, l1Xor, f, g, 0, e.res)
-			return e.res ^ cm
-		}
-	} else if slot.op == opXor && slot.f == f && slot.g == g {
-		c.applyHits++
+	if slot.op == opXor && slot.f == f && slot.g == g {
+		m.statApplyHits++
 		return slot.res ^ cm
 	}
 	lf, f0, f1 := m.top(f)
@@ -252,18 +184,14 @@ func (m *Manager) xorRec(c *kctx, f, g Ref) Ref {
 	if lg != level {
 		g0, g1 = g, g
 	}
-	low := m.xorRec(c, f0, g0)
-	high := m.xorRec(c, f1, g1)
-	r := m.mk(c, level, low, high)
-	if c.par {
-		c.l1store(h, l1Xor, cacheBinop, opXor, f, g, 0, r)
-	} else {
-		*slot = binopEntry{op: opXor, f: f, g: g, res: r}
-	}
+	low := m.xorRec(f0, g0)
+	high := m.xorRec(f1, g1)
+	r := m.mk(level, low, high)
+	*slot = binopEntry{op: opXor, f: f, g: g, res: r}
 	return r ^ cm
 }
 
-func (m *Manager) iteRec(c *kctx, f, g, h Ref, depth int32) Ref {
+func (m *Manager) iteRec(f, g, h Ref) Ref {
 	// Terminal and simplification cases.
 	switch {
 	case f == True:
@@ -290,15 +218,15 @@ func (m *Manager) iteRec(c *kctx, f, g, h Ref, depth int32) Ref {
 	case g == False && h == True:
 		return neg(f)
 	case g == True:
-		return m.or(c, f, h, depth)
+		return m.or(f, h)
 	case g == False:
-		return m.andRec(c, neg(f), h, depth)
+		return m.andRec(neg(f), h)
 	case h == False:
-		return m.andRec(c, f, g, depth)
+		return m.andRec(f, g)
 	case h == True:
-		return neg(m.andRec(c, f, neg(g), depth)) // f → g
+		return neg(m.andRec(f, neg(g))) // f → g
 	case g == neg(h):
-		return m.xorRec(c, f, h)
+		return m.xorRec(f, h)
 	}
 	// Complement normalization: ITE(¬f,g,h) = ITE(f,h,g) makes the first
 	// argument regular, and ITE(f,¬g,h) = ¬ITE(f,g,¬h) makes the second
@@ -311,22 +239,11 @@ func (m *Manager) iteRec(c *kctx, f, g, h Ref, depth int32) Ref {
 		cm = compBit
 		g, h = neg(g), neg(h)
 	}
-	c.iteCalls++
+	m.statITECalls++
 	hh := hash3(uint64(f), uint64(g), uint64(h))
 	slot := &m.ite[hh&m.iteMask]
-	if c.par {
-		if r, ok := c.l1probe(hh, l1ITE, f, g, h); ok {
-			c.iteHits++
-			return r ^ cm
-		}
-		if e, ok := slot.loadPar(); ok && e.f == f && e.g == g && e.h == h {
-			c.iteHits++
-			m.gcProtect(e.res)
-			c.l1put(hh, l1ITE, f, g, h, e.res)
-			return e.res ^ cm
-		}
-	} else if slot.f == f && slot.g == g && slot.h == h {
-		c.iteHits++
+	if slot.f == f && slot.g == g && slot.h == h {
+		m.statITEHits++
 		return slot.res ^ cm
 	}
 	lf, f0, f1 := m.top(f)
@@ -348,13 +265,9 @@ func (m *Manager) iteRec(c *kctx, f, g, h Ref, depth int32) Ref {
 	if lh != level {
 		h0, h1 = h, h
 	}
-	low := m.iteRec(c, f0, g0, h0, depth+1)
-	high := m.iteRec(c, f1, g1, h1, depth+1)
-	r := m.mk(c, level, low, high)
-	if c.par {
-		c.l1store(hh, l1ITE, cacheITE, 0, f, g, h, r)
-	} else {
-		*slot = iteEntry{f: f, g: g, h: h, res: r}
-	}
+	low := m.iteRec(f0, g0, h0)
+	high := m.iteRec(f1, g1, h1)
+	r := m.mk(level, low, high)
+	*slot = iteEntry{f: f, g: g, h: h, res: r}
 	return r ^ cm
 }

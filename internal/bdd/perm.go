@@ -49,12 +49,9 @@ func (m *Manager) NewPermuter(perm []int) *Permuter {
 func (p *Permuter) Permute(f Ref) Ref {
 	m := p.m
 	m.check(f)
-	c := m.begin()
 	if len(p.perm) > m.numVars {
-		m.end(c)
 		panic("bdd: Permuter: permutation longer than variable count")
 	}
-	m.memoMu.Lock()
 	if m.GCCount != p.gcAt || m.statReorders != p.reorderAt {
 		// Nodes may have been recycled (GC) or the arena rewritten in
 		// place (reorder): every cached Ref is suspect. Drop the map.
@@ -62,16 +59,14 @@ func (p *Permuter) Permute(f Ref) Ref {
 		p.gcAt = m.GCCount
 		p.reorderAt = m.statReorders
 	}
-	r := m.permuterRec(c, f, p)
-	m.memoMu.Unlock()
-	m.end(c)
+	r := m.permuterRec(f, p)
 	return r
 }
 
 // Size returns the number of live memo entries (observability hook).
 func (p *Permuter) Size() int { return len(p.memo) }
 
-func (m *Manager) permuterRec(c *kctx, f Ref, p *Permuter) Ref {
+func (m *Manager) permuterRec(f Ref, p *Permuter) Ref {
 	if m.IsTerminal(f) {
 		return f
 	}
@@ -79,20 +74,20 @@ func (m *Manager) permuterRec(c *kctx, f Ref, p *Permuter) Ref {
 	// result so f and ¬f share one memo entry.
 	cm := f & compBit
 	f ^= cm
-	m.statPermCalls.Add(1)
+	m.statPermCalls++
 	if r, ok := p.memo[f]; ok {
-		m.statPermHits.Add(1)
+		m.statPermHits++
 		return r ^ cm
 	}
 	n := *m.node(f)
 	v := int(n.varID)
-	low := m.permuterRec(c, n.low, p)
-	high := m.permuterRec(c, n.high, p)
+	low := m.permuterRec(n.low, p)
+	high := m.permuterRec(n.high, p)
 	target := v
 	if v < len(p.perm) {
 		target = p.perm[v]
 	}
-	r := m.iteRec(c, m.varRef(c, target), high, low, 0)
+	r := m.iteRec(m.varRef(target), high, low)
 	p.memo[f] = r
 	return r ^ cm
 }

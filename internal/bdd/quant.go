@@ -10,16 +10,9 @@ package bdd
 // alternates with it in every backward/forward fixpoint. With complement
 // edges, universal quantification is derived — ∀x.f = ¬∃x.¬f — so a
 // single Exists cache serves both quantifiers.
-//
-// In parallel mode the recursions fork the high cofactor of
-// non-quantified nodes onto the worker pool (pool.go). Quantified
-// levels are never forked: their or(low, high) keeps the low == True
-// short-circuit, and forking the high half would compute it
-// speculatively even when the short-circuit fires.
 
 // Cube builds the positive cube over the given variable IDs.
 func (m *Manager) Cube(vars []int) Ref {
-	c := m.begin()
 	// Build bottom-up in level order for linear-size intermediate results.
 	levels := make([]int32, 0, len(vars))
 	for _, v := range vars {
@@ -31,16 +24,13 @@ func (m *Manager) Cube(vars []int) Ref {
 		if i+1 < len(levels) && levels[i] == levels[i+1] {
 			continue // duplicate variable
 		}
-		r = m.mk(c, levels[i], False, r)
+		r = m.mk(levels[i], False, r)
 	}
-	m.end(c)
 	return r
 }
 
 // CubeVars decomposes a positive cube into the variable IDs it mentions.
 func (m *Manager) CubeVars(cube Ref) []int {
-	m.rlock()
-	defer m.runlock()
 	var out []int
 	for cube != True {
 		level, low, high := m.top(cube)
@@ -63,10 +53,7 @@ func (m *Manager) Exists(f, cube Ref) Ref {
 	if cube == True || m.IsTerminal(f) {
 		return f
 	}
-	c := m.begin()
-	r := m.existsRec(c, f, cube, 0)
-	m.end(c)
-	return r
+	return m.existsRec(f, cube)
 }
 
 // ForAll universally quantifies the variables of cube out of f. It is
@@ -77,10 +64,7 @@ func (m *Manager) ForAll(f, cube Ref) Ref {
 	if cube == True || m.IsTerminal(f) {
 		return f
 	}
-	c := m.begin()
-	r := neg(m.existsRec(c, neg(f), cube, 0))
-	m.end(c)
-	return r
+	return neg(m.existsRec(neg(f), cube))
 }
 
 // AndExists computes Exists(cube, f AND g) without building the full
@@ -89,18 +73,13 @@ func (m *Manager) AndExists(f, g, cube Ref) Ref {
 	m.check(f)
 	m.check(g)
 	m.check(cube)
-	c := m.begin()
-	var r Ref
 	if cube == True {
-		r = m.andRec(c, f, g, 0)
-	} else {
-		r = m.andExistsRec(c, f, g, cube, 0)
+		return m.andRec(f, g)
 	}
-	m.end(c)
-	return r
+	return m.andExistsRec(f, g, cube)
 }
 
-func (m *Manager) existsRec(c *kctx, f, cube Ref, depth int32) Ref {
+func (m *Manager) existsRec(f, cube Ref) Ref {
 	if m.IsTerminal(f) {
 		return f
 	}
@@ -112,60 +91,40 @@ func (m *Manager) existsRec(c *kctx, f, cube Ref, depth int32) Ref {
 	if cube == True {
 		return f
 	}
-	c.quantCalls++
+	m.statQuantCalls++
 	h := hash3(uint64(f), uint64(cube), 0x5eed)
 	slot := &m.quant[h&m.quantMask]
-	if c.par {
-		if r, ok := c.l1probe(h, l1Quant, f, cube, 0); ok {
-			c.quantHits++
-			return r
-		}
-		if e, ok := slot.loadPar(); ok && e.f == f && e.cube == cube {
-			c.quantHits++
-			m.gcProtect(e.res)
-			c.l1put(h, l1Quant, f, cube, 0, e.res)
-			return e.res
-		}
-	} else if slot.f == f && slot.cube == cube {
-		c.quantHits++
+	if slot.f == f && slot.cube == cube {
+		m.statQuantHits++
 		return slot.res
 	}
 	nc := m.node(cube)
 	var r Ref
 	if lf == m.var2level[nc.varID] {
-		low := m.existsRec(c, f0, nc.high, depth+1)
+		low := m.existsRec(f0, nc.high)
 		if low == True {
 			r = True
 		} else {
-			high := m.existsRec(c, f1, nc.high, depth+1)
-			r = m.or(c, low, high, depth)
+			high := m.existsRec(f1, nc.high)
+			r = m.or(low, high)
 		}
-	} else if c.canFork(depth, lf) {
-		fu := c.forkTask(futExists, f1, False, cube, depth+1)
-		low := m.existsRec(c, f0, cube, depth+1)
-		high := c.join(fu)
-		r = m.mk(c, lf, low, high)
 	} else {
-		low := m.existsRec(c, f0, cube, depth+1)
-		high := m.existsRec(c, f1, cube, depth+1)
-		r = m.mk(c, lf, low, high)
+		low := m.existsRec(f0, cube)
+		high := m.existsRec(f1, cube)
+		r = m.mk(lf, low, high)
 	}
-	if c.par {
-		c.l1store(h, l1Quant, cacheQuant, 0, f, cube, 0, r)
-	} else {
-		*slot = quantEntry{f: f, cube: cube, res: r}
-	}
+	*slot = quantEntry{f: f, cube: cube, res: r}
 	return r
 }
 
-func (m *Manager) andExistsRec(c *kctx, f, g, cube Ref, depth int32) Ref {
+func (m *Manager) andExistsRec(f, g, cube Ref) Ref {
 	switch {
 	case f == False, g == False, f == neg(g):
 		return False
 	case f == True:
-		return m.existsRec(c, g, cube, depth)
+		return m.existsRec(g, cube)
 	case g == True, f == g:
-		return m.existsRec(c, f, cube, depth)
+		return m.existsRec(f, cube)
 	}
 	if f > g {
 		f, g = g, f
@@ -180,24 +139,13 @@ func (m *Manager) andExistsRec(c *kctx, f, g, cube Ref, depth int32) Ref {
 		cube = m.node(cube).high
 	}
 	if cube == True {
-		return m.andRec(c, f, g, depth)
+		return m.andRec(f, g)
 	}
-	c.aexCalls++
+	m.statAexCalls++
 	h := hash3(uint64(f), uint64(g), uint64(cube))
 	slot := &m.aex[h&m.aexMask]
-	if c.par {
-		if r, ok := c.l1probe(h, l1Aex, f, g, cube); ok {
-			c.aexHits++
-			return r
-		}
-		if e, ok := slot.loadPar(); ok && e.f == f && e.g == g && e.cube == cube {
-			c.aexHits++
-			m.gcProtect(e.res)
-			c.l1put(h, l1Aex, f, g, cube, e.res)
-			return e.res
-		}
-	} else if slot.f == f && slot.g == g && slot.cube == cube {
-		c.aexHits++
+	if slot.f == f && slot.g == g && slot.cube == cube {
+		m.statAexHits++
 		return slot.res
 	}
 	if lf != top {
@@ -209,28 +157,19 @@ func (m *Manager) andExistsRec(c *kctx, f, g, cube Ref, depth int32) Ref {
 	nc := m.node(cube)
 	var r Ref
 	if m.var2level[nc.varID] == top {
-		low := m.andExistsRec(c, f0, g0, nc.high, depth+1)
+		low := m.andExistsRec(f0, g0, nc.high)
 		if low == True {
 			r = True
 		} else {
-			high := m.andExistsRec(c, f1, g1, nc.high, depth+1)
-			r = m.or(c, low, high, depth)
+			high := m.andExistsRec(f1, g1, nc.high)
+			r = m.or(low, high)
 		}
-	} else if c.canFork(depth, top) {
-		fu := c.forkTask(futAndExists, f1, g1, cube, depth+1)
-		low := m.andExistsRec(c, f0, g0, cube, depth+1)
-		high := c.join(fu)
-		r = m.mk(c, top, low, high)
 	} else {
-		low := m.andExistsRec(c, f0, g0, cube, depth+1)
-		high := m.andExistsRec(c, f1, g1, cube, depth+1)
-		r = m.mk(c, top, low, high)
+		low := m.andExistsRec(f0, g0, cube)
+		high := m.andExistsRec(f1, g1, cube)
+		r = m.mk(top, low, high)
 	}
-	if c.par {
-		c.l1store(h, l1Aex, cacheAex, 0, f, g, cube, r)
-	} else {
-		*slot = aexEntry{f: f, g: g, cube: cube, res: r}
-	}
+	*slot = aexEntry{f: f, g: g, cube: cube, res: r}
 	return r
 }
 

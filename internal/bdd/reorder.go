@@ -35,7 +35,7 @@ package bdd
 // independent of the populations. MoveBlock extends that to whole
 // non-interacting spans in a single order-map rotation.
 //
-// During a session the sharded unique table is stale (Close rebuilds
+// During a session the unique table is stale (Close rebuilds
 // it), so no mk/mkNode may run; the session keeps its own exact index
 // instead — a map keyed on the stored triple (varID, low, high), which
 // relabel-free moves never touch. A rewritten node's new (v, G0, G1)
@@ -57,25 +57,17 @@ package bdd
 // versa; and swaps preserve every function (garbage included — rewrites
 // are function-preserving, releases only drop whole functions), so the
 // matrix stays valid for the life of the session. When the two levels
-// being swapped do not interact, swapLevels degenerates to relabeling
+// being swapped do not interact, Swap degenerates to relabeling
 // the two buckets: no snapshot, no map traffic, no cofactoring, no
 // allocation or release — the driver counts these as interaction skips.
 // Operation caches are function-keyed, so surviving entries stay
 // semantically correct across swaps; the only invalid entries are those
 // naming a slot freed during the session (possibly since reused), which
 // Close sweeps out via a sticky "tainted" bitmap.
-//
-// In parallel mode a session is a stop-the-world epoch: StartReorder
-// takes the write side of the epoch lock and Close releases it, so the
-// sifting invariants above are untouched by worker concurrency — every
-// operation is excluded for the whole session. The sift driver itself
-// runs on the orchestrating goroutine and uses only session methods,
-// Size() and Stats(), all of which stay lock-free.
 
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"hsis/internal/telemetry"
@@ -124,6 +116,9 @@ type ReorderSession struct {
 	free    []uint64 // slots currently on the free list
 	tainted []uint64 // slots freed at any point during the session (sticky across reuse)
 
+	// uniq is the session's unique index: every live triple.
+	uniq map[node]Ref
+
 	// imat is the variable interaction matrix (numVars rows of imatW
 	// words): bit v of row u set iff u,v co-occur in a live support.
 	// useInter gates the fast-path swap (ablation switch).
@@ -131,30 +126,15 @@ type ReorderSession struct {
 	imatW    int
 	useInter bool
 
-	// symNeg caches failed symmetry probes, one bit per ordered variable
-	// pair (imat's shape, allocated on first probe). Positive symmetry is
-	// a property of the represented functions, which swaps preserve, so a
-	// failed probe stays failed for the session — except that garbage
-	// melting away can turn a blocked pair symmetric, which the cache
-	// (conservatively) ignores. arcCnt/arcStamp are the probe's
-	// lower-variable arc counters, epoch-stamped so probes reuse them
-	// without clearing.
-	symNeg   []uint64
-	arcCnt   []int32
-	arcStamp []int32
+	// Scratch buffers reused across swaps.
+	relStack []Ref
+	sa       []Ref
+	inter    []Ref
+	rot      []int32
 
-	// whole is the legacy whole-order zone every session starts with: it
-	// owns the unique index, the scratch buffers and the mutation
-	// counters, and the session-level primitives forward to it. OpenZones
-	// retires it (whole becomes nil) and installs zones instead; the
-	// zoned counters fold into the session totals at CloseZones.
-	whole *ReorderZone
-	zones []*ReorderZone
-
-	swaps      int // folded totals: packing phase plus closed zones
+	swaps      int // adjacent-level swaps performed
 	interSkips int // crossings taken as pure order-map relabels (fast-path swaps and MoveBlock spans)
 	lbAborts   int // sift directions cut short by the lower bound (driver-counted)
-	symPairs   int // symmetric pairs glued into blocks (driver-counted)
 	before     int
 	start      time.Time
 }
@@ -162,12 +142,8 @@ type ReorderSession struct {
 // StartReorder opens a reordering session. It panics if one is already
 // active. All ordinary operations (mk-based construction, Apply, GC, …)
 // are forbidden until Close; Refs protected per the GC contract remain
-// valid across the session and keep their functions. In parallel mode
-// the session holds the stop-the-world lock until Close.
+// valid across the session and keep their functions.
 func (m *Manager) StartReorder() *ReorderSession {
-	if m.par {
-		m.stw.Lock()
-	}
 	if m.session != nil {
 		panic("bdd: StartReorder with a reorder session already active")
 	}
@@ -177,11 +153,7 @@ func (m *Manager) StartReorder() *ReorderSession {
 	if sc := m.Telemetry(); sc != nil {
 		sc.Emit("bdd.reorder_start", telemetry.Int("live", m.Size()))
 	}
-	// Parallel free-list pops consume the tail without shrinking the
-	// slice; re-establish len(m.free) == freeLen for the session, which
-	// mutates the list with plain appends and pops.
-	m.free = m.free[:m.freeLen.Load()]
-	alloc := int(m.nodeCap.Load())
+	alloc := m.nodeCap
 	s := &ReorderSession{
 		m:       m,
 		start:   time.Now(),
@@ -191,12 +163,6 @@ func (m *Manager) StartReorder() *ReorderSession {
 		free:    make([]uint64, (alloc+63)/64),
 		tainted: make([]uint64, (alloc+63)/64),
 		bucket:  make([][]Ref, m.numVars),
-	}
-	s.whole = &ReorderZone{
-		s:      s,
-		legacy: true,
-		lo:     0,
-		hi:     m.numVars - 1,
 		// Size the map by the live count, not the arena: after the GC a
 		// sifting driver runs first, live is typically a small fraction
 		// of alloc, and map presizing is O(capacity).
@@ -214,14 +180,12 @@ func (m *Manager) StartReorder() *ReorderSession {
 		s.ref[i] += *m.rcPtr(r)
 		s.ref[n.low]++
 		s.ref[regular(n.high)]++
-		s.whole.uniq[n] = r
+		s.uniq[n] = r
 		s.addToBucket(r, int(n.varID))
-		s.whole.pop++
 	}
 	s.buildInteractions(alloc)
 	s.useInter = true
 	m.session = s
-	m.inSession.Store(true)
 	return s
 }
 
@@ -296,82 +260,19 @@ func (s *ReorderSession) Interacts(u, v int) bool { return s.interacts(u, v) }
 func (s *ReorderSession) SetInteractionFastPath(on bool) { s.useInter = on }
 
 // InteractionSkips returns the number of swaps taken as pure relabels.
-func (s *ReorderSession) InteractionSkips() int {
-	n := s.interSkips
-	if s.whole != nil {
-		n += s.whole.interSkips
-	}
-	return n
-}
-
-// wholeZone returns the legacy whole-order zone backing the
-// session-level mutation primitives; it panics while OpenZones zones
-// are active (mutations must go through the zones then).
-func (s *ReorderSession) wholeZone() *ReorderZone {
-	if s.whole == nil {
-		panic("bdd: whole-order session primitive while reorder zones are open")
-	}
-	return s.whole
-}
+func (s *ReorderSession) InteractionSkips() int { return s.interSkips }
 
 // NoteLowerBoundAbort records a sift direction cut short by the
 // lower-bound estimate; LowerBoundAborts reads the tally. The search
 // strategy lives in internal/reorder, the counter here so Close can
 // fold it into the manager statistics with the rest.
-func (s *ReorderSession) NoteLowerBoundAbort() { s.wholeZone().lbAborts++ }
+func (s *ReorderSession) NoteLowerBoundAbort() { s.lbAborts++ }
 
 // LowerBoundAborts returns the recorded lower-bound aborts.
-func (s *ReorderSession) LowerBoundAborts() int {
-	n := s.lbAborts
-	if s.whole != nil {
-		n += s.whole.lbAborts
-	}
-	return n
-}
-
-// NoteSymmetricPair records a variable pair glued into a symmetry
-// block; SymmetricPairs reads the tally.
-func (s *ReorderSession) NoteSymmetricPair() { s.wholeZone().symPairs++ }
-
-// SymmetricPairs returns the recorded symmetric-pair detections.
-func (s *ReorderSession) SymmetricPairs() int {
-	n := s.symPairs
-	if s.whole != nil {
-		n += s.whole.symPairs
-	}
-	return n
-}
-
-// Swap exchanges the variables at level and level+1, rewriting the
-// affected nodes in place. It forwards to the whole-order zone and may
-// not be used while OpenZones zones are active.
-func (s *ReorderSession) Swap(level int) { s.wholeZone().Swap(level) }
+func (s *ReorderSession) LowerBoundAborts() int { return s.lbAborts }
 
 // Swaps returns the number of adjacent-level swaps performed so far.
-func (s *ReorderSession) Swaps() int {
-	n := s.swaps
-	if s.whole != nil {
-		n += s.whole.swaps
-	}
-	return n
-}
-
-// Pop returns the live node count the session minimizes — the global
-// Size. A ReorderZone's Pop scopes the same quantity to its own band;
-// the two implement one interface for the sift driver.
-func (s *ReorderSession) Pop() int { return s.m.Size() }
-
-// Headroom reports the remaining allocation budget; the whole-order
-// session grows the arena on demand, so it is unbounded (-1).
-func (s *ReorderSession) Headroom() int { return -1 }
-
-// MaxBucket returns 0 for the whole-order session: only zones, whose
-// allocation is budgeted, gate moves on bucket size.
-func (s *ReorderSession) MaxBucket() int { return 0 }
-
-// NoteBlockSifted is a no-op on the whole-order session; the
-// parallel-sift block counter only tracks zoned work.
-func (s *ReorderSession) NoteBlockSifted() {}
+func (s *ReorderSession) Swaps() int { return s.swaps }
 
 // LevelSize returns the number of nodes currently stored at the given
 // level (the per-level population sifting minimizes). A variable
@@ -383,9 +284,10 @@ func (s *ReorderSession) LevelSize(level int) int {
 // Manager returns the manager this session reorders.
 func (s *ReorderSession) Manager() *Manager { return s.m }
 
-// The swap primitive itself — the Rudell exchange adapted to complement
+// Swap exchanges the variables at level and level+1, rewriting the
+// affected nodes in place — the Rudell exchange adapted to complement
 // edges, reduced by ID-labeling to one pass over the upper variable's
-// bucket — lives on ReorderZone in reorder_zones.go:
+// bucket:
 //
 //  1. a u-node with no v-child keeps its triple verbatim — its level
 //     changes implicitly with the final order-map update;
@@ -400,6 +302,87 @@ func (s *ReorderSession) Manager() *Manager { return s.m }
 // v-nodes are never visited: a live one keeps its triple and moves up
 // implicitly with the maps, a dead one is exactly a recorded drop
 // settled in step 3.
+func (s *ReorderSession) Swap(level int) {
+	m := s.m
+	if m.session != s {
+		panic("bdd: Swap on an inactive reorder session")
+	}
+	if level < 0 || level+1 >= m.numVars {
+		panic(fmt.Sprintf("bdd: Swap(%d) outside [0,%d)", level, m.numVars-1))
+	}
+	l := int32(level)
+	lv1 := l + 1
+	u, v := m.level2var[l], m.level2var[lv1]
+
+	if s.useInter && !s.interacts(int(u), int(v)) {
+		m.level2var[l], m.level2var[lv1] = v, u
+		m.var2level[u], m.var2level[v] = lv1, l
+		s.swaps++
+		s.interSkips++
+		return
+	}
+
+	s.sa = append(s.sa[:0], s.bucket[u]...)
+	dead := s.inter[:0]
+	for _, f := range s.sa {
+		np := m.node(f)
+		n := *np
+		f0, f1 := n.low, n.high
+		r1, c := regular(f1), f1&compBit
+		d0 := m.node(f0).varID == v
+		d1 := m.node(r1).varID == v
+		if !d0 && !d1 {
+			continue // no v-child: triple unchanged, moves with the maps
+		}
+		var f00, f01 Ref
+		if d0 {
+			b := *m.node(f0)
+			f00, f01 = b.low, b.high
+		} else {
+			f00, f01 = f0, f0
+		}
+		var f10, f11 Ref
+		if d1 {
+			b := *m.node(r1)
+			f10, f11 = b.low^c, b.high^c
+		} else {
+			f10, f11 = f1, f1
+		}
+		g0 := s.swapMk(u, f00, f10)
+		g1 := s.swapMk(u, f01, f11)
+		s.ref[regular(g0)]++
+		s.ref[regular(g1)]++
+		if s.uniq[n] == f {
+			delete(s.uniq, n)
+		}
+		*np = node{varID: v, low: g0, high: g1}
+		s.uniq[*np] = f
+		s.removeFromBucket(f, int(u))
+		s.addToBucket(f, int(v))
+		if f0 != 0 {
+			if s.ref[f0]--; s.ref[f0] == 0 {
+				dead = append(dead, f0)
+			}
+		}
+		if r1 != 0 {
+			if s.ref[r1]--; s.ref[r1] == 0 {
+				dead = append(dead, r1)
+			}
+		}
+	}
+	// Settle the drops. A candidate may have been re-referenced by a
+	// later rewrite (as a shared cofactor) or already released through
+	// an earlier candidate's cascade — both are skipped.
+	for _, g := range dead {
+		if s.ref[g] == 0 && !s.isFree(g) {
+			s.release(g)
+		}
+	}
+	s.inter = dead[:0]
+	m.level2var[l], m.level2var[lv1] = v, u
+	m.var2level[u], m.var2level[v] = lv1, l
+	s.swaps++
+}
 
 // MoveBlock moves the block of width adjacent levels starting at level
 // across span further levels — downward past the next span levels for
@@ -410,94 +393,161 @@ func (s *ReorderSession) Manager() *Manager { return s.m }
 // preserved exactly as if the width×|span| adjacent swaps had run; the
 // session counts those avoided swaps as interaction skips. This is what
 // lets the sifting driver cross a whole span of unrelated variables in
-// O(span) instead of O(span × population). It forwards to the
-// whole-order zone; during zoned sifting each zone has its own.
+// O(span) instead of O(span × population).
 func (s *ReorderSession) MoveBlock(level, width, span int) {
-	s.wholeZone().MoveBlock(level, width, span)
+	m := s.m
+	if m.session != s {
+		panic("bdd: MoveBlock on an inactive reorder session")
+	}
+	if span == 0 || width == 0 {
+		return
+	}
+	lo, hi := level, level+width+span // rotation window [lo, hi)
+	if span < 0 {
+		lo, hi = level+span, level+width
+	}
+	if lo < 0 || hi > m.numVars {
+		panic(fmt.Sprintf("bdd: MoveBlock(%d,%d,%d) outside [0,%d)", level, width, span, m.numVars))
+	}
+	for bl := level; bl < level+width; bl++ {
+		b := int(m.level2var[bl])
+		for k := lo; k < hi; k++ {
+			if k >= level && k < level+width {
+				continue
+			}
+			if s.interacts(b, int(m.level2var[k])) {
+				panic("bdd: MoveBlock across an interacting variable")
+			}
+		}
+	}
+	s.rot = append(s.rot[:0], m.level2var[level:level+width]...)
+	if span > 0 {
+		copy(m.level2var[level:], m.level2var[level+width:level+width+span])
+		copy(m.level2var[level+span:level+span+width], s.rot)
+	} else {
+		copy(m.level2var[level+span+width:level+width], m.level2var[level+span:level])
+		copy(m.level2var[level+span:level+span+width], s.rot)
+	}
+	for k := lo; k < hi; k++ {
+		m.var2level[m.level2var[k]] = int32(k)
+	}
+	if span < 0 {
+		span = -span
+	}
+	s.interSkips += width * span
 }
 
-// ProbeSymmetry reports whether the variable at level and the one at
-// level+1 are positively symmetric in every live function: exchanging
-// the two leaves every function unchanged. The check is the classic
-// structural one on the two populations. Writing u for the upper and v
-// for the lower variable, every real u-node f must satisfy f01 == f10
-// (its "u=0,v=1" and "u=1,v=0" cofactors agree), and every v-node must
-// be referenced only from the u level — an external reference or a
-// parent above u means some function sees v without passing through u
-// and cannot be u,v-symmetric. The projection node of each variable is
-// infrastructure, not a function — NewVar pins one per variable forever
-// — so u's is skipped in the scan and v's expected reference count is
-// discounted by its permanent pin. A false positive is impossible for
-// protected functions; gluing is only a heuristic hint anyway, since
-// block moves preserve all functions regardless. The probe itself lives
-// on ReorderZone; this forwards to the whole-order zone.
-func (s *ReorderSession) ProbeSymmetry(level int) bool {
-	return s.wholeZone().ProbeSymmetry(level)
+// swapMk is the session's mk: reduction, canonical-low re-rooting, and
+// find-or-allocate against the session's unique index.
+func (s *ReorderSession) swapMk(varID int32, low, high Ref) Ref {
+	if low == high {
+		return low
+	}
+	if isComp(low) {
+		return neg(s.swapMkNode(varID, neg(low), neg(high)))
+	}
+	return s.swapMkNode(varID, low, high)
 }
 
-// Close ends the session: it rebuilds the sharded unique table for the
-// new order, sweeps operation-cache entries that name a slot freed
-// during the session, and records the reorder statistics. The manager is
-// fully operational again afterwards.
+func (s *ReorderSession) swapMkNode(varID int32, low, high Ref) Ref {
+	m := s.m
+	key := node{varID: varID, low: low, high: high}
+	if r, ok := s.uniq[key]; ok {
+		return r
+	}
+	var r Ref
+	if top := len(m.free); top > 0 {
+		r = m.free[top-1]
+		m.free = m.free[:top-1]
+		s.free[r>>6] &^= 1 << (uint(r) & 63) // taint, if set, stays set
+		*m.rcPtr(r) = 0
+		s.ref[r] = 0
+	} else {
+		r = m.newSlot()
+		s.ref = append(s.ref, 0)
+		s.pos = append(s.pos, 0)
+		for len(s.free)*64 < m.nodeCap {
+			s.free = append(s.free, 0)
+			s.tainted = append(s.tainted, 0)
+		}
+		m.peakNodes = max(m.peakNodes, m.nodeCap)
+	}
+	*m.node(r) = key
+	s.ref[low]++
+	s.ref[regular(high)]++
+	s.uniq[key] = r
+	s.addToBucket(r, int(varID))
+	m.peakLive = max(m.peakLive, m.Size())
+	return r
+}
+
+// release frees a node whose last reason to live is gone, cascading to
+// children left with no external reference and no parent.
+func (s *ReorderSession) release(g Ref) {
+	m := s.m
+	stack := append(s.relStack[:0], g)
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := *m.node(r)
+		if s.uniq[n] == r {
+			delete(s.uniq, n)
+		}
+		s.removeFromBucket(r, int(n.varID))
+		s.free[r>>6] |= 1 << (uint(r) & 63)
+		s.tainted[r>>6] |= 1 << (uint(r) & 63)
+		m.free = append(m.free, r)
+		for _, ch := range [2]Ref{n.low, regular(n.high)} {
+			if ch == 0 {
+				continue
+			}
+			if s.ref[ch]--; s.ref[ch] == 0 {
+				stack = append(stack, ch)
+			}
+		}
+	}
+	s.relStack = stack[:0]
+}
+
+// Close ends the session: it rebuilds the unique table for the new
+// order, sweeps operation-cache entries that name a slot freed during
+// the session, and records the reorder statistics. The manager is fully
+// operational again afterwards.
 func (s *ReorderSession) Close() {
 	m := s.m
 	if m.session != s {
 		panic("bdd: Close on an inactive reorder session")
 	}
-	s.CloseZones() // tolerate a driver that panicked out of the zone phase
-	if w := s.whole; w != nil {
-		s.swaps += w.swaps
-		s.interSkips += w.interSkips
-		s.lbAborts += w.lbAborts
-		s.symPairs += w.symPairs
-		s.whole = nil
-	}
 	m.session = nil
-	for i := range m.shards {
-		sh := &m.shards[i]
-		clear(sh.slots)
-		sh.count = 0
-	}
-	alloc := int(m.nodeCap.Load())
-	for i := 1; i < alloc; i++ {
+	clear(m.table)
+	m.tableCount = 0
+	for i := 1; i < m.nodeCap; i++ {
 		r := Ref(i)
 		if !s.isFree(r) {
 			m.tableInsert(r)
 		}
 	}
-	m.freeLen.Store(int64(len(m.free)))
 	m.sweepCachesTainted(s.tainted)
-	// Per-worker L1 caches may hold entries naming tainted slots too;
-	// bumping the epoch invalidates them all at their next safe point.
-	m.cacheEpoch.Add(1)
 	m.statReorders++
 	m.statReorderSwaps += uint64(s.swaps)
 	m.statInterSkips += uint64(s.interSkips)
 	m.statLBAborts += uint64(s.lbAborts)
-	m.statSymPairs += s.symPairs
 	m.statReorderTime += time.Since(s.start)
 	m.reorderBefore = s.before
 	m.reorderAfter = m.Size()
 	if sc := m.Telemetry(); sc != nil {
-		sc.PublishNodes(m.Size(), int(m.peakLive.Load()))
+		sc.PublishNodes(m.Size(), m.peakLive)
 		sc.EmitElapsed("bdd.reorder_end", time.Since(s.start),
 			telemetry.Int("swaps", s.swaps),
 			telemetry.Int("inter_skips", s.interSkips),
 			telemetry.Int("lb_aborts", s.lbAborts),
-			telemetry.Int("sym_pairs", s.symPairs),
 			telemetry.Int("before", s.before),
 			telemetry.Int("after", m.Size()))
 	}
-	m.inSession.Store(false)
-	if m.par {
-		m.stw.Unlock()
-	}
 }
 
-// isFree reads the free bitmap atomically: one 64-slot word can span
-// slots owned by different concurrent zones.
 func (s *ReorderSession) isFree(r Ref) bool {
-	return atomic.LoadUint64(&s.free[r>>6])&(1<<(uint(r)&63)) != 0
+	return s.free[r>>6]&(1<<(uint(r)&63)) != 0
 }
 
 func (s *ReorderSession) addToBucket(r Ref, v int) {
@@ -562,19 +612,6 @@ func (m *Manager) GroupVars(vars []int) {
 	if len(vars) < 2 {
 		return
 	}
-	// A concurrent reorder session reads m.groups through VarGroups
-	// while holding the stop-the-world lock, so registration takes it
-	// exclusively (registration is cold: variable-creation time, plus
-	// symmetric-pair glues during sifting). During a session the caller
-	// IS the session's orchestrator and already holds the lock.
-	if m.par && m.session == nil {
-		m.stw.Lock()
-		defer m.stw.Unlock()
-	}
-	// Concurrent sift zones glue symmetric pairs from their own
-	// goroutines; the registry itself gets a dedicated mutex.
-	m.groupsMu.Lock()
-	defer m.groupsMu.Unlock()
 	merged := append([]int(nil), vars...)
 	for _, v := range merged {
 		if v < 0 || v >= m.numVars {
@@ -619,8 +656,8 @@ func (m *Manager) VarGroups() [][]int { return m.groups }
 func (m *Manager) SetReorderPolicy(p ReorderPolicy) {
 	m.reorderPolicy = p
 	if p != ReorderAuto {
-		m.reorderPending.Store(false)
-		m.reorderAt.Store(0)
+		m.reorderPending = false
+		m.reorderAt = 0
 	} else if m.reorderFn != nil {
 		m.armReorder()
 	}
@@ -638,10 +675,10 @@ func (m *Manager) SetAutoReorder(grow float64, minNodes int, fn func(*Manager)) 
 	m.reorderFn = fn
 	m.reorderGrow = grow
 	m.reorderMin = minNodes
-	m.reorderPending.Store(false)
+	m.reorderPending = false
 	if fn == nil {
 		m.reorderPolicy = ReorderOff
-		m.reorderAt.Store(0)
+		m.reorderAt = 0
 		return
 	}
 	m.reorderPolicy = ReorderAuto
@@ -660,21 +697,14 @@ func (m *Manager) SetReorderGrowth(grow float64) {
 }
 
 func (m *Manager) armReorder() {
-	at := int(m.reorderGrow * float64(m.Size()))
-	if at < m.reorderMin {
-		at = m.reorderMin
-	}
-	m.reorderAt.Store(int64(at))
+	m.reorderAt = max(int(m.reorderGrow*float64(m.Size())), m.reorderMin)
 }
 
 // ReorderPending reports whether an automatic reorder is armed and due.
 // Fixpoint loops test it before paying to protect their live Refs for a
-// MaybeReorder call. Inside a ParallelDo section it reports false:
-// sibling tasks hold unprotected Refs, so the safe point is deferred to
-// the orchestrator.
+// MaybeReorder call.
 func (m *Manager) ReorderPending() bool {
-	return m.reorderPending.Load() && m.reorderFn != nil &&
-		!m.inSession.Load() && m.sections.Load() == 0
+	return m.reorderPending && m.reorderFn != nil && m.session == nil
 }
 
 // MaybeReorder runs the automatic reordering hook if its growth trigger
@@ -686,9 +716,7 @@ func (m *Manager) MaybeReorder() bool {
 	if !m.ReorderPending() {
 		return false
 	}
-	if !m.reorderPending.CompareAndSwap(true, false) {
-		return false
-	}
+	m.reorderPending = false
 	m.reorderFn(m)
 	m.armReorder()
 	return true
@@ -698,19 +726,17 @@ func (m *Manager) MaybeReorder() bool {
 // canonical-low edges, strictly increasing levels, no freed children or
 // duplicate triples, exact unique-table membership, and no operation
 // cache entry naming a freed slot. It exists for tests and debugging;
-// it is O(nodes + cache entries). It takes no locks (the sift driver
-// may call it mid-session), so in parallel mode run it only at
-// quiescent points.
+// it is O(nodes + cache entries). The sift driver may call it
+// mid-session.
 func (m *Manager) CheckInvariants() error {
-	freeList := m.free[:m.freeLen.Load()]
-	free := make(map[Ref]bool, len(freeList))
-	for _, f := range freeList {
+	free := make(map[Ref]bool, len(m.free))
+	for _, f := range m.free {
 		if free[f] {
 			return fmt.Errorf("slot %d appears twice on the free list", f)
 		}
 		free[f] = true
 	}
-	alloc := int(m.nodeCap.Load())
+	alloc := m.nodeCap
 	seen := make(map[node]Ref, alloc)
 	for i := 1; i < alloc; i++ {
 		r := Ref(i)
@@ -733,18 +759,16 @@ func (m *Manager) CheckInvariants() error {
 		}
 		seen[n] = r
 		if m.session == nil {
-			h := hash3(uint64(n.varID), uint64(n.low), uint64(n.high))
-			sh := &m.shards[h>>(64-shardBits)]
-			hh := h & sh.mask
+			hh := hash3(uint64(n.varID), uint64(n.low), uint64(n.high)) & m.tableMask
 			for {
-				idx := sh.slots[hh]
+				idx := m.table[hh]
 				if idx == 0 {
 					return fmt.Errorf("node %d missing from the unique table", i)
 				}
 				if Ref(idx-1) == r {
 					break
 				}
-				hh = (hh + 1) & sh.mask
+				hh = (hh + 1) & m.tableMask
 			}
 		}
 	}
@@ -779,7 +803,7 @@ func (m *Manager) CheckInvariants() error {
 // PeakLive returns the largest live node count observed (allocated minus
 // free at each allocation), the number dynamic reordering exists to
 // shrink.
-func (m *Manager) PeakLive() int { return int(m.peakLive.Load()) }
+func (m *Manager) PeakLive() int { return m.peakLive }
 
 // ReorderCount returns the number of completed reorder sessions. Plan
 // caches (the network's compiled quantification schedules) stamp
@@ -790,6 +814,6 @@ func (m *Manager) ReorderCount() int { return m.statReorders }
 // ResetPeaks restarts peak tracking from the current state, so a
 // measurement can isolate one phase.
 func (m *Manager) ResetPeaks() {
-	m.peakNodes.Store(m.nodeCap.Load())
-	m.peakLive.Store(int64(m.Size()))
+	m.peakNodes = m.nodeCap
+	m.peakLive = m.Size()
 }

@@ -301,39 +301,6 @@ func TestMoveBlockSpanJump(t *testing.T) {
 	}
 }
 
-// TestProbeSymmetry pins the structural symmetry check on known
-// positives (x0 and x1, x0 xor x1 — both symmetric in {0,1}) and a known
-// negative (x0 and not x1).
-func TestProbeSymmetry(t *testing.T) {
-	build := []struct {
-		name string
-		mk   func(m *Manager, a, b Ref) Ref
-		want bool
-	}{
-		{"and", func(m *Manager, a, b Ref) Ref { return m.And(a, b) }, true},
-		{"xor", func(m *Manager, a, b Ref) Ref { return m.Xor(a, b) }, true},
-		{"andnot", func(m *Manager, a, b Ref) Ref { return m.And(a, m.Not(b)) }, false},
-	}
-	for _, tc := range build {
-		t.Run(tc.name, func(t *testing.T) {
-			m := New()
-			vars := m.NewVars(2)
-			m.IncRef(tc.mk(m, vars[0], vars[1]))
-			s := m.StartReorder()
-			if got := s.ProbeSymmetry(0); got != tc.want {
-				t.Fatalf("ProbeSymmetry(0) = %v, want %v", got, tc.want)
-			}
-			// The verdict must be stable on a re-probe (negative results
-			// are cached per variable pair).
-			if got := s.ProbeSymmetry(0); got != tc.want {
-				t.Fatalf("re-probe flipped to %v", got)
-			}
-			s.Close()
-			checkKernelInvariants(t, m)
-		})
-	}
-}
-
 func TestGroupVarsMerge(t *testing.T) {
 	m := New()
 	m.NewVars(6)

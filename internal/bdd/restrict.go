@@ -13,7 +13,7 @@ package bdd
 // the care set complements every leaf of the recursion — so complement
 // marks on f are normalized away at entry and the memo tables key on
 // regular nodes only. The recursions memoize in per-call maps rather
-// than the shared op caches and never fork.
+// than the shared op caches.
 
 type pairKey struct{ a, b Ref }
 
@@ -24,14 +24,10 @@ func (m *Manager) Constrain(f, c Ref) Ref {
 	if c == False {
 		panic("bdd: Constrain with empty care set")
 	}
-	kc := m.begin()
-	memo := make(map[pairKey]Ref)
-	r := m.constrainRec(kc, f, c, memo)
-	m.end(kc)
-	return r
+	return m.constrainRec(f, c, make(map[pairKey]Ref))
 }
 
-func (m *Manager) constrainRec(kc *kctx, f, c Ref, memo map[pairKey]Ref) Ref {
+func (m *Manager) constrainRec(f, c Ref, memo map[pairKey]Ref) Ref {
 	if c == True || m.IsTerminal(f) {
 		return f
 	}
@@ -42,7 +38,7 @@ func (m *Manager) constrainRec(kc *kctx, f, c Ref, memo map[pairKey]Ref) Ref {
 		return False
 	}
 	if isComp(f) {
-		return neg(m.constrainRec(kc, neg(f), c, memo))
+		return neg(m.constrainRec(neg(f), c, memo))
 	}
 	key := pairKey{f, c}
 	if r, ok := memo[key]; ok {
@@ -63,13 +59,13 @@ func (m *Manager) constrainRec(kc *kctx, f, c Ref, memo map[pairKey]Ref) Ref {
 	var r Ref
 	switch {
 	case c1 == False:
-		r = m.constrainRec(kc, f0, c0, memo)
+		r = m.constrainRec(f0, c0, memo)
 	case c0 == False:
-		r = m.constrainRec(kc, f1, c1, memo)
+		r = m.constrainRec(f1, c1, memo)
 	default:
-		low := m.constrainRec(kc, f0, c0, memo)
-		high := m.constrainRec(kc, f1, c1, memo)
-		r = m.mk(kc, top, low, high)
+		low := m.constrainRec(f0, c0, memo)
+		high := m.constrainRec(f1, c1, memo)
+		r = m.mk(top, low, high)
 	}
 	memo[key] = r
 	return r
@@ -84,14 +80,10 @@ func (m *Manager) Restrict(f, c Ref) Ref {
 	if c == False {
 		panic("bdd: Restrict with empty care set")
 	}
-	kc := m.begin()
-	memo := make(map[pairKey]Ref)
-	r := m.restrictRec(kc, f, c, memo)
+	r := m.restrictRec(f, c, make(map[pairKey]Ref))
 	// Restrict is a heuristic: on rare inputs the recursion grows the
 	// graph. f itself trivially agrees with f on the care set, so fall
-	// back to it whenever minimization did not pay off. Count through
-	// countRec directly — the public NodeCount would re-enter the
-	// operation lock.
+	// back to it whenever minimization did not pay off.
 	if r != f {
 		seen := make(map[Ref]bool)
 		m.countRec(r, seen)
@@ -102,11 +94,10 @@ func (m *Manager) Restrict(f, c Ref) Ref {
 			r = f
 		}
 	}
-	m.end(kc)
 	return r
 }
 
-func (m *Manager) restrictRec(kc *kctx, f, c Ref, memo map[pairKey]Ref) Ref {
+func (m *Manager) restrictRec(f, c Ref, memo map[pairKey]Ref) Ref {
 	if c == True || m.IsTerminal(f) {
 		return f
 	}
@@ -117,7 +108,7 @@ func (m *Manager) restrictRec(kc *kctx, f, c Ref, memo map[pairKey]Ref) Ref {
 		return False
 	}
 	if isComp(f) {
-		return neg(m.restrictRec(kc, neg(f), c, memo))
+		return neg(m.restrictRec(neg(f), c, memo))
 	}
 	key := pairKey{f, c}
 	if r, ok := memo[key]; ok {
@@ -130,23 +121,23 @@ func (m *Manager) restrictRec(kc *kctx, f, c Ref, memo map[pairKey]Ref) Ref {
 	if lc < lf {
 		// The care set constrains a variable f does not depend on:
 		// drop it by existential quantification to stay in f's support.
-		cc := m.or(kc, c0, c1, 0)
-		r = m.restrictRec(kc, f, cc, memo)
+		cc := m.or(c0, c1)
+		r = m.restrictRec(f, cc, memo)
 	} else if lc == lf {
 		switch {
 		case c1 == False:
-			r = m.restrictRec(kc, nf.low, c0, memo)
+			r = m.restrictRec(nf.low, c0, memo)
 		case c0 == False:
-			r = m.restrictRec(kc, nf.high, c1, memo)
+			r = m.restrictRec(nf.high, c1, memo)
 		default:
-			low := m.restrictRec(kc, nf.low, c0, memo)
-			high := m.restrictRec(kc, nf.high, c1, memo)
-			r = m.mk(kc, lf, low, high)
+			low := m.restrictRec(nf.low, c0, memo)
+			high := m.restrictRec(nf.high, c1, memo)
+			r = m.mk(lf, low, high)
 		}
 	} else {
-		low := m.restrictRec(kc, nf.low, c, memo)
-		high := m.restrictRec(kc, nf.high, c, memo)
-		r = m.mk(kc, lf, low, high)
+		low := m.restrictRec(nf.low, c, memo)
+		high := m.restrictRec(nf.high, c, memo)
+		r = m.mk(lf, low, high)
 	}
 	memo[key] = r
 	return r

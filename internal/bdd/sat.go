@@ -22,8 +22,6 @@ import (
 // state bits. Only the final count is rounded to float64.
 func (m *Manager) SatCount(f Ref, nvars int) float64 {
 	m.check(f)
-	m.rlock()
-	defer m.runlock()
 	prec := uint(m.numVars) + 64
 	memo := make(map[Ref]*big.Float)
 	// fraction of the full space satisfying f, times 2^nvars
@@ -46,8 +44,6 @@ func (m *Manager) SatCount(f Ref, nvars int) float64 {
 // at most numVars significant bits.
 func (m *Manager) SatCountExact(f Ref, nvars int) *big.Int {
 	m.check(f)
-	m.rlock()
-	defer m.runlock()
 	prec := uint(m.numVars) + 64
 	memo := make(map[Ref]*big.Float)
 	frac := m.satFrac(f, memo, prec)
@@ -102,8 +98,6 @@ func (m *Manager) AnySat(f Ref) ([]Literal, bool) {
 	if f == False {
 		return nil, false
 	}
-	m.rlock()
-	defer m.runlock()
 	var out []Literal
 	for f != True {
 		level, low, high := m.top(f)
@@ -124,8 +118,6 @@ func (m *Manager) AnySat(f Ref) ([]Literal, bool) {
 // -1 (don't care). Iteration stops early if fn returns false.
 func (m *Manager) AllSat(f Ref, fn func(cube []int8) bool) {
 	m.check(f)
-	m.rlock()
-	defer m.runlock()
 	cube := make([]int8, m.numVars)
 	for i := range cube {
 		cube[i] = -1
@@ -159,8 +151,6 @@ func (m *Manager) allSatRec(f Ref, cube []int8, fn func([]int8) bool) bool {
 // Eval evaluates f under a complete assignment indexed by variable ID.
 func (m *Manager) Eval(f Ref, assignment []bool) bool {
 	m.check(f)
-	m.rlock()
-	defer m.runlock()
 	for !m.IsTerminal(f) {
 		level, low, high := m.top(f)
 		if assignment[m.level2var[level]] {
@@ -175,8 +165,6 @@ func (m *Manager) Eval(f Ref, assignment []bool) bool {
 // Support returns the sorted variable IDs f depends on.
 func (m *Manager) Support(f Ref) []int {
 	m.check(f)
-	m.rlock()
-	defer m.runlock()
 	seen := make(map[Ref]bool)
 	vars := make(map[int]bool)
 	m.supportRec(f, seen, vars)
@@ -204,8 +192,6 @@ func (m *Manager) supportRec(f Ref, seen map[Ref]bool, vars map[int]bool) {
 // terminal when it is reachable. f and ¬f have the same count.
 func (m *Manager) NodeCount(f Ref) int {
 	m.check(f)
-	m.rlock()
-	defer m.runlock()
 	seen := make(map[Ref]bool)
 	m.countRec(f, seen)
 	return len(seen)
@@ -214,8 +200,6 @@ func (m *Manager) NodeCount(f Ref) int {
 // NodeCountMulti returns the number of distinct stored nodes in the
 // shared forest rooted at the given functions.
 func (m *Manager) NodeCountMulti(fs []Ref) int {
-	m.rlock()
-	defer m.runlock()
 	seen := make(map[Ref]bool)
 	for _, f := range fs {
 		m.check(f)

@@ -48,31 +48,13 @@ type Statistics struct {
 	CacheGrowths          int
 	CacheEntriesKept      int
 
-	// Parallel kernel: the configured worker count, subproblems forked
-	// onto the pool, futures executed off the forking call path, and
-	// contention events (shard-lock waits plus lost cache publications).
-	Workers    int
-	Forks      uint64
-	Steals     uint64
-	Contention uint64
-
-	// Two-level op cache: probes answered by a context-private L1,
-	// L1→L2 promotion drains (each fork-join or operation boundary), and
-	// entries that actually landed in the shared L2 during those drains.
-	L1Hits       uint64
-	L1Merges     uint64
-	L1Promotions uint64
-
-	// Grain controller: the current adaptive fork-depth cutoff and how
-	// many times the steal-ratio feedback loop has moved it.
-	ForkDepth    int
-	GrainAdjusts uint64
-
-	// Zoned sifting: interaction-closed zones opened across reorder
-	// sessions and blocks sifted inside them (zones sift concurrently
-	// when the manager has workers).
-	SiftZones     uint64
-	SiftParBlocks uint64
+	// Forks, Steals and SiftZones are always zero. The kernel is
+	// sequential: it forks no subproblems, so no worker steals any, and
+	// sifting always runs over the whole order, never in zones. The
+	// fields stay because the repository benchmark still reads them.
+	Forks     uint64
+	Steals    uint64
+	SiftZones uint64
 
 	// Dynamic variable reordering: number of sifting runs, total
 	// adjacent-level swaps, cumulative time spent reordering, the node
@@ -80,14 +62,12 @@ type Statistics struct {
 	// (the quantity reordering exists to bound). The acceleration
 	// counters break the swap total down: InterSkips counts swaps that
 	// degenerated to pure relabels because the two variables never
-	// co-occur in a live support, LBAborts counts sift directions cut
-	// short by the lower-bound estimate, and SymPairs counts variable
-	// pairs detected positively symmetric and glued into atomic blocks.
+	// co-occur in a live support, and LBAborts counts sift directions
+	// cut short by the lower-bound estimate.
 	Reorders           int
 	ReorderSwaps       uint64
 	ReorderInterSkips  uint64
 	ReorderLBAborts    uint64
-	ReorderSymPairs    int
 	ReorderTime        time.Duration
 	ReorderNodesBefore int
 	ReorderNodesAfter  int
@@ -123,16 +103,10 @@ func (s Statistics) String() string {
 		s.CacheGrowths, s.CacheEntriesKept)
 	if s.Reorders > 0 {
 		out += fmt.Sprintf(
-			"\nbdd: reorders: %d (%d swaps in %v; last %d -> %d nodes; %d fast-swaps, %d lb-aborts, %d sym-pairs)",
+			"\nbdd: reorders: %d (%d swaps in %v; last %d -> %d nodes; %d fast-swaps, %d lb-aborts)",
 			s.Reorders, s.ReorderSwaps, s.ReorderTime.Round(time.Millisecond),
 			s.ReorderNodesBefore, s.ReorderNodesAfter,
-			s.ReorderInterSkips, s.ReorderLBAborts, s.ReorderSymPairs)
-	}
-	if s.Workers > 1 {
-		out += fmt.Sprintf(
-			"\nbdd: parallel: %d workers, %d forks, %d steals, %d contention events; l1 %d hits / %d merges / %d promoted; grain depth %d (%d adjusts)",
-			s.Workers, s.Forks, s.Steals, s.Contention,
-			s.L1Hits, s.L1Merges, s.L1Promotions, s.ForkDepth, s.GrainAdjusts)
+			s.ReorderInterSkips, s.ReorderLBAborts)
 	}
 	return out
 }
@@ -175,22 +149,12 @@ func (s Statistics) WriteTable(w io.Writer) {
 		row("perm cache", "%.1f%% of %d calls",
 			100*ratio(s.PermHits, s.PermCalls), s.PermCalls)
 	}
-	if s.Workers > 1 {
-		row("workers", "%d", s.Workers)
-		row("forks/steals", "%d / %d", s.Forks, s.Steals)
-		row("contention", "%d", s.Contention)
-		row("l1 cache", "%d hits, %d merges, %d promoted", s.L1Hits, s.L1Merges, s.L1Promotions)
-		row("fork grain", "depth %d, %d adjusts", s.ForkDepth, s.GrainAdjusts)
-	}
 	if s.Reorders > 0 {
 		row("reorders", "%d (%d swaps in %v; last %d -> %d nodes)",
 			s.Reorders, s.ReorderSwaps, s.ReorderTime.Round(time.Millisecond),
 			s.ReorderNodesBefore, s.ReorderNodesAfter)
-		row("reorder accel", "%d interaction-skips, %d lb-aborts, %d symmetric-pairs",
-			s.ReorderInterSkips, s.ReorderLBAborts, s.ReorderSymPairs)
-		if s.SiftZones > 0 {
-			row("sift zones", "%d zones, %d blocks sifted zoned", s.SiftZones, s.SiftParBlocks)
-		}
+		row("reorder accel", "%d interaction-skips, %d lb-aborts",
+			s.ReorderInterSkips, s.ReorderLBAborts)
 	}
 	for _, h := range s.Latency {
 		if h.Count == 0 {
@@ -235,17 +199,6 @@ func (s Statistics) TelemetryFields() []telemetry.Field {
 		telemetry.F64("apply_hit_rate", ratio(s.ApplyHits, s.ApplyCalls)),
 		telemetry.F64("ite_hit_rate", ratio(s.ITEHits, s.ITECalls)),
 		telemetry.F64("perm_hit_rate", s.PermHitRate()),
-		telemetry.Int("workers", s.Workers),
-		telemetry.I64("forks", int64(s.Forks)),
-		telemetry.I64("steals", int64(s.Steals)),
-		telemetry.I64("contention", int64(s.Contention)),
-		telemetry.I64("l1_hits", int64(s.L1Hits)),
-		telemetry.I64("l1_merges", int64(s.L1Merges)),
-		telemetry.I64("l1_promotions", int64(s.L1Promotions)),
-		telemetry.Int("fork_depth", s.ForkDepth),
-		telemetry.I64("grain_adjusts", int64(s.GrainAdjusts)),
-		telemetry.I64("sift_zones", int64(s.SiftZones)),
-		telemetry.I64("sift_par_blocks", int64(s.SiftParBlocks)),
 	}
 }
 
@@ -254,12 +207,9 @@ func (s Statistics) TelemetryFields() []telemetry.Field {
 // mid-rewrite, so Stats returns the coherent snapshot taken at the
 // session boundary instead of reading half-swapped state — telemetry
 // samples and shell commands never observe a partially reordered level.
-// In parallel mode every counter read is atomic, so Stats is safe to
-// call concurrently with operations (counts from operations still in
-// flight appear when they complete).
 func (m *Manager) Stats() Statistics {
 	var s Statistics
-	if m.inSession.Load() {
+	if m.session != nil {
 		s = m.statsSnap
 	} else {
 		s = m.statsNow()
@@ -275,58 +225,38 @@ func (m *Manager) Stats() Statistics {
 // statsNow collects the counters directly; callers must ensure no
 // reorder session is rewriting the arena.
 func (m *Manager) statsNow() Statistics {
-	if !m.par {
-		// Fold the resident sequential context into the totals so the
-		// snapshot reflects every completed operation exactly.
-		m.seqCtx.flush(m)
-	}
 	return Statistics{
-		ApplyCalls:     m.statApplyCalls.Load(),
-		ApplyHits:      m.statApplyHits.Load(),
-		ITECalls:       m.statITECalls.Load(),
-		ITEHits:        m.statITEHits.Load(),
-		QuantCalls:     m.statQuantCalls.Load(),
-		QuantHits:      m.statQuantHits.Load(),
-		AndExistsCalls: m.statAexCalls.Load(),
-		AndExistsHits:  m.statAexHits.Load(),
+		ApplyCalls:     m.statApplyCalls,
+		ApplyHits:      m.statApplyHits,
+		ITECalls:       m.statITECalls,
+		ITEHits:        m.statITEHits,
+		QuantCalls:     m.statQuantCalls,
+		QuantHits:      m.statQuantHits,
+		AndExistsCalls: m.statAexCalls,
+		AndExistsHits:  m.statAexHits,
 		GCs:            m.GCCount,
 		LiveNodes:      m.Size(),
-		AllocatedNodes: int(m.nodeCap.Load()),
-		PeakNodes:      int(m.peakNodes.Load()),
+		AllocatedNodes: m.nodeCap,
+		PeakNodes:      m.peakNodes,
 		Variables:      m.numVars,
 
-		ComplementShared:      m.statCompShared.Load(),
-		PermCalls:             m.statPermCalls.Load(),
-		PermHits:              m.statPermHits.Load(),
+		ComplementShared:      m.statCompShared,
+		PermCalls:             m.statPermCalls,
+		PermHits:              m.statPermHits,
 		ITECacheEntries:       len(m.ite),
 		ApplyCacheEntries:     len(m.binop),
 		QuantCacheEntries:     len(m.quant),
 		AndExistsCacheEntries: len(m.aex),
-		CacheGrowths:          int(m.statCacheGrowths.Load()),
+		CacheGrowths:          m.statCacheGrowths,
 		CacheEntriesKept:      m.statCacheKept,
-
-		Workers:    m.workers,
-		Forks:      m.statForks.Load(),
-		Steals:     m.statSteals.Load(),
-		Contention: m.statContention.Load(),
-
-		L1Hits:       m.statL1Hits.Load(),
-		L1Merges:     m.statL1Merges.Load(),
-		L1Promotions: m.statL1Promos.Load(),
-		ForkDepth:    m.forkDepthNow(),
-		GrainAdjusts: m.statGrainAdjusts.Load(),
-
-		SiftZones:     m.statSiftZones.Load(),
-		SiftParBlocks: m.statSiftParBlocks.Load(),
 
 		Reorders:           m.statReorders,
 		ReorderSwaps:       m.statReorderSwaps,
 		ReorderInterSkips:  m.statInterSkips,
 		ReorderLBAborts:    m.statLBAborts,
-		ReorderSymPairs:    m.statSymPairs,
 		ReorderTime:        m.statReorderTime,
 		ReorderNodesBefore: m.reorderBefore,
 		ReorderNodesAfter:  m.reorderAfter,
-		PeakLive:           int(m.peakLive.Load()),
+		PeakLive:           m.peakLive,
 	}
 }

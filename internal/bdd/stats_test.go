@@ -175,7 +175,18 @@ func TestWriteTableRendering(t *testing.T) {
 	s := m.StartReorder()
 	s.Swap(0)
 	s.Close()
-	if got := m.Stats().Table(); !strings.Contains(got, "reorders") {
+	got := m.Stats().Table()
+	if !strings.Contains(got, "reorders") {
 		t.Errorf("reorders row missing after a reorder:\n%s", got)
+	}
+	// The kernel is sequential: it renders no worker, fork, L1 or zone
+	// rows, and the fields kept for the benchmark read zero.
+	for _, row := range []string{"workers", "forks", "l1 cache", "fork grain", "sift zones", "symmetric"} {
+		if strings.Contains(got, row) {
+			t.Errorf("table renders a parallel-kernel row %q:\n%s", row, got)
+		}
+	}
+	if st := m.Stats(); st.Forks != 0 || st.Steals != 0 || st.SiftZones != 0 {
+		t.Errorf("forks/steals/sift zones = %d/%d/%d, want 0/0/0", st.Forks, st.Steals, st.SiftZones)
 	}
 }

@@ -18,13 +18,6 @@ package bdd
 // allocation, O(1) reset by bumping the epoch — on a 60k-node input this
 // is worth more than 2× — but for a tiny input those same arrays are
 // pure cache-miss territory, which is why the map path survives.
-//
-// The manager-resident memo is the one kernel structure that is not
-// per-slot synchronized, so in parallel mode the substitution family
-// serializes on memoMu (each call still runs under the operation
-// read-lock like any other op). Rail shifts happen once per fixpoint
-// step, not per recursion, so the serialization is invisible next to
-// the image computations around it; the recursions never fork.
 
 // memoSmallMax is the crossover: a rebuild that visited fewer stored
 // nodes than this keeps the map representation on the next call.
@@ -37,7 +30,7 @@ const memoSmallMax = 4096
 // input BDD, which exist before the call, so sizing the arrays at entry
 // is sufficient even though the rebuild allocates new nodes.
 func (m *Manager) memoBegin() {
-	alloc := int(m.nodeCap.Load())
+	alloc := m.nodeCap
 	if len(m.memoStamp) < alloc {
 		// Grow geometrically: the node array grows continuously during a
 		// cold build, and resizing the memo on every call would turn each
@@ -64,30 +57,23 @@ func (m *Manager) memoBegin() {
 // valid as the manager grows.
 func (m *Manager) Permute(f Ref, perm []int) Ref {
 	m.check(f)
-	c := m.begin()
-	// Read numVars only inside the epoch: NewVar mutates it under the
-	// stop-the-world write lock.
 	if len(perm) > m.numVars {
-		m.end(c)
 		panic("bdd: Permute: permutation longer than variable count")
 	}
-	m.memoMu.Lock()
 	var r Ref
 	if m.memoLast < memoSmallMax {
 		memo := make(map[Ref]Ref, m.memoLast+16)
-		r = m.permuteRecMap(c, f, perm, memo)
+		r = m.permuteRecMap(f, perm, memo)
 		m.memoLast = len(memo)
 	} else {
 		m.memoBegin()
-		r = m.permuteRec(c, f, perm)
+		r = m.permuteRec(f, perm)
 		m.memoLast = m.memoCount
 	}
-	m.memoMu.Unlock()
-	m.end(c)
 	return r
 }
 
-func (m *Manager) permuteRecMap(c *kctx, f Ref, perm []int, memo map[Ref]Ref) Ref {
+func (m *Manager) permuteRecMap(f Ref, perm []int, memo map[Ref]Ref) Ref {
 	if m.IsTerminal(f) {
 		return f
 	}
@@ -100,18 +86,18 @@ func (m *Manager) permuteRecMap(c *kctx, f Ref, perm []int, memo map[Ref]Ref) Re
 	}
 	n := *m.node(f)
 	v := int(n.varID)
-	low := m.permuteRecMap(c, n.low, perm, memo)
-	high := m.permuteRecMap(c, n.high, perm, memo)
+	low := m.permuteRecMap(n.low, perm, memo)
+	high := m.permuteRecMap(n.high, perm, memo)
 	target := v
 	if v < len(perm) {
 		target = perm[v]
 	}
-	r := m.iteRec(c, m.varRef(c, target), high, low, 0)
+	r := m.iteRec(m.varRef(target), high, low)
 	memo[f] = r
 	return r ^ cm
 }
 
-func (m *Manager) permuteRec(c *kctx, f Ref, perm []int) Ref {
+func (m *Manager) permuteRec(f Ref, perm []int) Ref {
 	if m.IsTerminal(f) {
 		return f
 	}
@@ -122,13 +108,13 @@ func (m *Manager) permuteRec(c *kctx, f Ref, perm []int) Ref {
 	}
 	n := *m.node(f)
 	v := int(n.varID)
-	low := m.permuteRec(c, n.low, perm)
-	high := m.permuteRec(c, n.high, perm)
+	low := m.permuteRec(n.low, perm)
+	high := m.permuteRec(n.high, perm)
 	target := v
 	if v < len(perm) {
 		target = perm[v]
 	}
-	r := m.iteRec(c, m.varRef(c, target), high, low, 0)
+	r := m.iteRec(m.varRef(target), high, low)
 	m.memoStamp[f] = m.memoEpoch
 	m.memoVal[f] = r
 	m.memoCount++
@@ -142,24 +128,20 @@ func (m *Manager) Compose(f Ref, v int, g Ref) Ref {
 	if v < 0 || v >= m.numVars {
 		panic("bdd: Compose: variable out of range")
 	}
-	c := m.begin()
-	m.memoMu.Lock()
 	var r Ref
 	if m.memoLast < memoSmallMax {
 		memo := make(map[Ref]Ref, m.memoLast+16)
-		r = m.composeRecMap(c, f, m.var2level[v], g, memo)
+		r = m.composeRecMap(f, m.var2level[v], g, memo)
 		m.memoLast = len(memo)
 	} else {
 		m.memoBegin()
-		r = m.composeRec(c, f, m.var2level[v], g)
+		r = m.composeRec(f, m.var2level[v], g)
 		m.memoLast = m.memoCount
 	}
-	m.memoMu.Unlock()
-	m.end(c)
 	return r
 }
 
-func (m *Manager) composeRecMap(c *kctx, f Ref, level int32, g Ref, memo map[Ref]Ref) Ref {
+func (m *Manager) composeRecMap(f Ref, level int32, g Ref, memo map[Ref]Ref) Ref {
 	if m.levelOf(f) > level {
 		// f does not depend on the substituted variable.
 		return f
@@ -172,20 +154,20 @@ func (m *Manager) composeRecMap(c *kctx, f Ref, level int32, g Ref, memo map[Ref
 	n := *m.node(f)
 	var r Ref
 	if m.var2level[n.varID] == level {
-		r = m.iteRec(c, g, n.high, n.low, 0)
+		r = m.iteRec(g, n.high, n.low)
 	} else {
-		low := m.composeRecMap(c, n.low, level, g, memo)
-		high := m.composeRecMap(c, n.high, level, g, memo)
+		low := m.composeRecMap(n.low, level, g, memo)
+		high := m.composeRecMap(n.high, level, g, memo)
 		// The substituted function g may depend on variables above
 		// f's root, so rebuild with ITE on the root variable rather
 		// than mk.
-		r = m.iteRec(c, m.varRef(c, int(n.varID)), high, low, 0)
+		r = m.iteRec(m.varRef(int(n.varID)), high, low)
 	}
 	memo[f] = r
 	return r ^ cm
 }
 
-func (m *Manager) composeRec(c *kctx, f Ref, level int32, g Ref) Ref {
+func (m *Manager) composeRec(f Ref, level int32, g Ref) Ref {
 	if m.levelOf(f) > level {
 		return f
 	}
@@ -197,11 +179,11 @@ func (m *Manager) composeRec(c *kctx, f Ref, level int32, g Ref) Ref {
 	n := *m.node(f)
 	var r Ref
 	if m.var2level[n.varID] == level {
-		r = m.iteRec(c, g, n.high, n.low, 0)
+		r = m.iteRec(g, n.high, n.low)
 	} else {
-		low := m.composeRec(c, n.low, level, g)
-		high := m.composeRec(c, n.high, level, g)
-		r = m.iteRec(c, m.varRef(c, int(n.varID)), high, low, 0)
+		low := m.composeRec(n.low, level, g)
+		high := m.composeRec(n.high, level, g)
+		r = m.iteRec(m.varRef(int(n.varID)), high, low)
 	}
 	m.memoStamp[f] = m.memoEpoch
 	m.memoVal[f] = r
@@ -222,24 +204,20 @@ func (m *Manager) VectorCompose(f Ref, subst map[int]Ref) Ref {
 		m.check(g)
 		byLevel[m.var2level[v]] = g
 	}
-	c := m.begin()
-	m.memoMu.Lock()
 	var r Ref
 	if m.memoLast < memoSmallMax {
 		memo := make(map[Ref]Ref, m.memoLast+16)
-		r = m.vectorComposeRecMap(c, f, byLevel, memo)
+		r = m.vectorComposeRecMap(f, byLevel, memo)
 		m.memoLast = len(memo)
 	} else {
 		m.memoBegin()
-		r = m.vectorComposeRec(c, f, byLevel)
+		r = m.vectorComposeRec(f, byLevel)
 		m.memoLast = m.memoCount
 	}
-	m.memoMu.Unlock()
-	m.end(c)
 	return r
 }
 
-func (m *Manager) vectorComposeRecMap(c *kctx, f Ref, byLevel map[int32]Ref, memo map[Ref]Ref) Ref {
+func (m *Manager) vectorComposeRecMap(f Ref, byLevel map[int32]Ref, memo map[Ref]Ref) Ref {
 	if m.IsTerminal(f) {
 		return f
 	}
@@ -249,18 +227,18 @@ func (m *Manager) vectorComposeRecMap(c *kctx, f Ref, byLevel map[int32]Ref, mem
 		return r ^ cm
 	}
 	n := *m.node(f)
-	low := m.vectorComposeRecMap(c, n.low, byLevel, memo)
-	high := m.vectorComposeRecMap(c, n.high, byLevel, memo)
+	low := m.vectorComposeRecMap(n.low, byLevel, memo)
+	high := m.vectorComposeRecMap(n.high, byLevel, memo)
 	g, ok := byLevel[m.var2level[n.varID]]
 	if !ok {
-		g = m.varRef(c, int(n.varID))
+		g = m.varRef(int(n.varID))
 	}
-	r := m.iteRec(c, g, high, low, 0)
+	r := m.iteRec(g, high, low)
 	memo[f] = r
 	return r ^ cm
 }
 
-func (m *Manager) vectorComposeRec(c *kctx, f Ref, byLevel map[int32]Ref) Ref {
+func (m *Manager) vectorComposeRec(f Ref, byLevel map[int32]Ref) Ref {
 	if m.IsTerminal(f) {
 		return f
 	}
@@ -270,13 +248,13 @@ func (m *Manager) vectorComposeRec(c *kctx, f Ref, byLevel map[int32]Ref) Ref {
 		return m.memoVal[f] ^ cm
 	}
 	n := *m.node(f)
-	low := m.vectorComposeRec(c, n.low, byLevel)
-	high := m.vectorComposeRec(c, n.high, byLevel)
+	low := m.vectorComposeRec(n.low, byLevel)
+	high := m.vectorComposeRec(n.high, byLevel)
 	g, ok := byLevel[m.var2level[n.varID]]
 	if !ok {
-		g = m.varRef(c, int(n.varID))
+		g = m.varRef(int(n.varID))
 	}
-	r := m.iteRec(c, g, high, low, 0)
+	r := m.iteRec(g, high, low)
 	m.memoStamp[f] = m.memoEpoch
 	m.memoVal[f] = r
 	m.memoCount++

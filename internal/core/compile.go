@@ -167,7 +167,7 @@ func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 			return nil, err
 		}
 	}
-	net, err := buildNetwork(d.flat, nopts, engine, opts.Workers)
+	net, err := buildNetwork(d.flat, nopts, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 // replays iso plans instead, and T, by far the largest BDD such a
 // design ever builds, is never formed. On the others T is small and its
 // single AndExists per image beats any plan replay.
-func buildNetwork(flat *blifmv.Model, nopts network.Options, engine reach.EngineKind, workers int) (*network.Network, error) {
+func buildNetwork(flat *blifmv.Model, nopts network.Options, engine reach.EngineKind) (*network.Network, error) {
 	nopts.SkipMonolithic = true
 	net, err := network.Build(flat, nopts)
 	if err != nil {
@@ -215,9 +215,6 @@ func buildNetwork(flat *blifmv.Model, nopts network.Options, engine reach.Engine
 	}
 	if engine == reach.EngineMonolithic || (engine == reach.EngineAuto && !net.IsoWorthwhile()) {
 		net.EnsureT()
-	}
-	if workers > 1 {
-		net.Manager().SetWorkers(workers)
 	}
 	return net, nil
 }

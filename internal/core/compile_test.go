@@ -90,4 +90,7 @@ func TestInstantiateValidatesOptions(t *testing.T) {
 	if _, err := art.Instantiate(Options{ReorderAccel: "bogus"}); err == nil {
 		t.Error("bogus reorder acceleration accepted")
 	}
+	if _, err := art.Instantiate(Options{ReorderAccel: "interaction,symmetry"}); err == nil {
+		t.Error("symmetry accepted as a reorder acceleration")
+	}
 }

@@ -64,8 +64,8 @@ type Options struct {
 	// ReorderAccel selects which sifting accelerations run: "" or "all"
 	// (everything), "none" (the plain Rudell sifter, for ablations), or
 	// a comma list drawn from "interaction" (interaction-matrix fast
-	// swaps), "lowerbound" (lower-bound direction aborts), "symmetry"
-	// (symmetric-pair gluing) enabling just those.
+	// swaps) and "lowerbound" (lower-bound direction aborts) enabling
+	// just those.
 	ReorderAccel string
 	// OrderFile, when non-empty, seeds the variable order from a saved
 	// .order file if it exists and matches the model; otherwise the
@@ -79,11 +79,11 @@ type Options struct {
 	// built only when the resolved engine is monolithic; otherwise every
 	// check, CTL and language containment alike, replays image plans.
 	Image string
-	// Workers selects the BDD kernel's execution mode for every manager
-	// the workspace builds (including cone-of-influence reductions):
-	// 0 or 1 is the classic sequential kernel, n >= 2 enables the
-	// concurrent kernel with an n-worker fork/join pool and makes
-	// VerifyAll check independent properties in parallel.
+	// Workers is accepted and ignored. The BDD kernel is sequential and
+	// VerifyAll checks properties one after another whatever its value;
+	// parallelism comes from running jobs on separate workspaces (the
+	// hsisd job pool). The field stays so callers that set it keep
+	// compiling.
 	Workers int
 	// Telemetry, when non-nil, is installed as the observability scope
 	// of every manager the workspace builds (including cone-of-influence
@@ -111,15 +111,10 @@ type Workspace struct {
 	// (cone-of-influence) networks can recompile them.
 	fairSpecs []pif.FairSpec
 	// coneCache reuses reduced workspaces across properties with the
-	// same observation support; coneMu guards it when VerifyAll runs
-	// property checks concurrently.
+	// same observation support. coneMu guards it against Interrupt,
+	// which a daemon calls from another goroutine.
 	coneCache map[string]*Workspace
 	coneMu    sync.Mutex
-	// compileMu serializes automaton/product compilation during parallel
-	// verification: building a product extends the shared MDD space (and
-	// the lc package's product name counter), which must happen one at a
-	// time even though the emptiness checks themselves run concurrently.
-	compileMu sync.Mutex
 
 	// Source metrics for Table 1.
 	VerilogLines int
@@ -138,19 +133,17 @@ func parseReorderOptions(opts Options) (reorder.Options, error) {
 	switch strings.TrimSpace(opts.ReorderAccel) {
 	case "", "all":
 	case "none":
-		ropts.NoInteraction, ropts.NoLowerBound, ropts.NoSymmetry = true, true, true
+		ropts.NoInteraction, ropts.NoLowerBound = true, true
 	default:
-		ropts.NoInteraction, ropts.NoLowerBound, ropts.NoSymmetry = true, true, true
+		ropts.NoInteraction, ropts.NoLowerBound = true, true
 		for _, tok := range strings.Split(opts.ReorderAccel, ",") {
 			switch strings.TrimSpace(tok) {
 			case "interaction":
 				ropts.NoInteraction = false
 			case "lowerbound":
 				ropts.NoLowerBound = false
-			case "symmetry":
-				ropts.NoSymmetry = false
 			default:
-				return ropts, fmt.Errorf("core: unknown reorder acceleration %q (want all, none, or a comma list of interaction, lowerbound, symmetry)", strings.TrimSpace(tok))
+				return ropts, fmt.Errorf("core: unknown reorder acceleration %q (want all, none, or a comma list of interaction, lowerbound)", strings.TrimSpace(tok))
 			}
 		}
 	}
@@ -240,9 +233,8 @@ func (w *Workspace) fairSupport() []string {
 }
 
 // coneWorkspace builds (or reuses) a reduced workspace observing the
-// given variables plus the fairness constraints' support. The cache
-// lookup and build run under coneMu so concurrent property checks
-// share (rather than duplicate or corrupt) the reductions.
+// given variables plus the fairness constraints' support, cached per
+// reduced model.
 func (w *Workspace) coneWorkspace(observed []string) (*Workspace, *abstract.Result, error) {
 	obs := append(append([]string(nil), observed...), w.fairSupport()...)
 	res, err := abstract.ConeOfInfluence(w.Net.Model(), obs)
@@ -263,7 +255,7 @@ func (w *Workspace) coneWorkspace(observed []string) (*Workspace, *abstract.Resu
 		ReorderTrigger:      w.opts.ReorderTrigger,
 		Telemetry:           w.opts.Telemetry,
 	}
-	net, err := buildNetwork(res.Model, nopts, w.engine, w.opts.Workers)
+	net, err := buildNetwork(res.Model, nopts, w.engine)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -456,20 +448,13 @@ func (w *Workspace) CheckLC(spec *pif.AutSpec) *PropertyResult {
 		}
 	}
 	out := &PropertyResult{Name: spec.Name, Kind: KindLC}
-	// Compilation extends the shared MDD space with the automaton's state
-	// variables; under parallel verification only one product may do that
-	// at a time. The expensive part — the emptiness check below — runs
-	// outside the lock.
-	w.compileMu.Lock()
 	a, err := lc.Compile(w.Net, spec)
 	if err != nil {
-		w.compileMu.Unlock()
 		out.Err = err
 		out.Time = time.Since(start)
 		return out
 	}
 	p := lc.NewProduct(w.Net, a)
-	w.compileMu.Unlock()
 	res := lc.Check(p, w.FC, lc.Options{EarlySteps: w.opts.EarlySteps})
 	out.Pass = res.Pass
 	out.EarlyDetected = res.EarlyDetected
@@ -486,34 +471,16 @@ func (w *Workspace) CheckLC(spec *pif.AutSpec) *PropertyResult {
 }
 
 // VerifyAll checks every property in the workspace: automata by
-// language containment, formulas by CTL model checking. When the
-// workspace's manager runs in parallel mode (Options.Workers >= 2) the
-// independent property checks execute concurrently on the kernel's
-// worker pool; BDD canonicity keeps every verdict identical to the
-// sequential order, and results are reported in declaration order
-// either way.
+// language containment, formulas by CTL model checking, one after
+// another on the workspace's manager (automata first, then formulas,
+// each in declaration order, which is also the order of the results).
 func (w *Workspace) VerifyAll() []*PropertyResult {
-	nLC := len(w.Automata)
-	out := make([]*PropertyResult, nLC+len(w.CTLProps))
-	m := w.Net.Manager()
-	if m.Workers() > 1 && len(out) > 1 {
-		tasks := make([]func(), 0, len(out))
-		for i, a := range w.Automata {
-			i, a := i, a
-			tasks = append(tasks, func() { out[i] = w.CheckLC(a) })
-		}
-		for i, p := range w.CTLProps {
-			i, p := i, p
-			tasks = append(tasks, func() { out[nLC+i] = w.CheckCTL(p) })
-		}
-		m.ParallelDo(tasks...)
-		return out
+	out := make([]*PropertyResult, 0, len(w.Automata)+len(w.CTLProps))
+	for _, a := range w.Automata {
+		out = append(out, w.CheckLC(a))
 	}
-	for i, a := range w.Automata {
-		out[i] = w.CheckLC(a)
-	}
-	for i, p := range w.CTLProps {
-		out[nLC+i] = w.CheckCTL(p)
+	for _, p := range w.CTLProps {
+		out = append(out, w.CheckCTL(p))
 	}
 	return out
 }

@@ -268,3 +268,42 @@ func TestAutoBuildsTOnlyWithoutReplication(t *testing.T) {
 		}
 	}
 }
+
+// TestMdlc2AutoSiftMatchesReorderOff pins the former known-bad of the
+// repository benchmark: mdlc2 under auto sifting with Workers 2 once
+// blew up inside VerifyAll and returned a wrong ch0_terminates. Workers
+// is a no-op now, and the run must give reorder-off's exact reachable
+// state count and every one of its verdicts.
+func TestMdlc2AutoSiftMatchesReorderOff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mdlc2 verification is slow")
+	}
+	run := func(opts Options) (string, map[string]bool) {
+		w := loadDesign(t, "mdlc2", opts)
+		states := w.ReachableStatesExact().String()
+		verdicts := map[string]bool{}
+		for _, r := range w.VerifyAll() {
+			if r.Err != nil {
+				t.Fatalf("reorder %q: %s: %v", opts.Reorder, r.Name, r.Err)
+			}
+			verdicts[string(r.Kind)+"/"+r.Name] = r.Pass
+		}
+		st := w.Net.Manager().Stats()
+		t.Logf("reorder %q: %s states, %v, peak %d live nodes, %d sifts",
+			opts.Reorder, states, verdicts, st.PeakLive, st.Reorders)
+		return states, verdicts
+	}
+	wantStates, want := run(Options{})
+	gotStates, got := run(Options{Reorder: "auto", Workers: 2})
+	if gotStates != wantStates {
+		t.Errorf("reachable states: %s under auto sifting, %s with reordering off", gotStates, wantStates)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("verdict count: %d under auto sifting, %d with reordering off", len(got), len(want))
+	}
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("%s: pass=%v under auto sifting, %v with reordering off", k, got[k], w)
+		}
+	}
+}

@@ -12,7 +12,6 @@ package mdd
 
 import (
 	"fmt"
-	"sync"
 
 	"hsis/internal/bdd"
 )
@@ -21,15 +20,8 @@ import (
 // Binary variables are allocated in variable creation order, so callers
 // control the BDD variable order by the order in which they create MDD
 // variables (the basis of the static ordering algorithm, paper ref [1]).
-//
-// A Space may be read (ByName, Vars, Permutation, …) concurrently with
-// one NewVar call: registration takes the write lock, lookups the read
-// lock. Concurrent NewVar callers must still serialize externally when
-// they care about the resulting BDD variable order, since creation
-// order is the variable order.
 type Space struct {
 	mgr    *bdd.Manager
-	mu     sync.RWMutex
 	vars   []*Var
 	byName map[string]*Var
 }
@@ -54,15 +46,11 @@ func (s *Space) Manager() *bdd.Manager { return s.mgr }
 
 // Vars returns the variables in creation order.
 func (s *Space) Vars() []*Var {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.vars
 }
 
 // ByName returns the variable with the given name, or nil.
 func (s *Space) ByName(name string) *Var {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.byName[name]
 }
 
@@ -74,8 +62,6 @@ func (s *Space) NewVar(name string, card int) *Var {
 	if card < 1 {
 		panic(fmt.Sprintf("mdd: variable %q with cardinality %d", name, card))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, dup := s.byName[name]; dup {
 		panic(fmt.Sprintf("mdd: duplicate variable %q", name))
 	}

@@ -163,5 +163,5 @@ func (n *Network) BuildAsyncT(tree *Synchrony) (bdd.Ref, error) {
 func (n *Network) SetT(t bdd.Ref) {
 	n.mgr.DecRef(n.T)
 	n.T = n.mgr.IncRef(t)
-	n.tBuilt.Store(true)
+	n.tBuilt = true
 }

@@ -243,7 +243,7 @@ func (n *Network) alignMember(cones []*cone, repLi, memLi int) []int {
 }
 
 // detectIso partitions the latches into isomorphism classes and the
-// conjuncts into per-member sets plus a shared pool. Caller holds isoMu.
+// conjuncts into per-member sets plus a shared pool.
 func (n *Network) detectIso() {
 	st := n.iso
 	st.detected = true
@@ -449,8 +449,6 @@ func (n *Network) detectIso() {
 // ensureIsoDetect runs detection once; cheap relative to any image work
 // (one model traversal plus small verification permutes per candidate).
 func (n *Network) ensureIsoDetect() *isoState {
-	n.isoMu.Lock()
-	defer n.isoMu.Unlock()
 	if n.iso == nil {
 		n.iso = &isoState{}
 	}
@@ -466,8 +464,6 @@ func (n *Network) ensureIsoDetect() *isoState {
 // normally; then compile one global quantification schedule per
 // direction over all instantiated clusters.
 func (n *Network) ensureIsoPlans() *isoState {
-	n.isoMu.Lock()
-	defer n.isoMu.Unlock()
 	if n.iso == nil {
 		n.iso = &isoState{}
 	}

@@ -25,7 +25,6 @@ package network
 
 import (
 	"fmt"
-	"sync"
 
 	"hsis/internal/bdd"
 	"hsis/internal/quant"
@@ -33,14 +32,12 @@ import (
 
 // labelCones caches the cone-local label machinery of one network.
 type labelCones struct {
-	once    sync.Once
-	sound   bool             // the structural conditions hold
-	drivers map[string][]int // signal -> indices of the tables driving it
-	total   []bool           // per table: total on valid inputs
-	dom     bdd.Ref          // domains of the PS variables in any conjunct
-
-	mu    sync.Mutex
-	cones map[string][]quant.Conjunct // signal -> conjuncts a label needs
+	built   bool                        // initLabelCones has run
+	sound   bool                        // the structural conditions hold
+	drivers map[string][]int            // signal -> indices of the tables driving it
+	total   []bool                      // per table: total on valid inputs
+	dom     bdd.Ref                     // domains of the PS variables in any conjunct
+	cones   map[string][]quant.Conjunct // signal -> conjuncts a label needs
 }
 
 // LabelEq returns the present-state label of the condition
@@ -88,12 +85,13 @@ func (n *Network) LabelEq(name, value string) (bdd.Ref, error) {
 // conjunct otherwise. Cached per signal.
 func (n *Network) labelConjuncts(name string) []quant.Conjunct {
 	lc := &n.labels
-	lc.once.Do(n.initLabelCones)
+	if !lc.built {
+		n.initLabelCones()
+		lc.built = true
+	}
 	if !lc.sound {
 		return n.conjuncts
 	}
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
 	if conjs, ok := lc.cones[name]; ok {
 		return conjs
 	}

@@ -1,15 +1,14 @@
 package network
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
 	"hsis/internal/bdd"
 	"hsis/internal/blifmv"
 	"hsis/internal/designs"
 	"hsis/internal/quant"
+	"hsis/internal/reorder"
 	"hsis/internal/verilog"
 )
 
@@ -136,10 +135,11 @@ func TestConeLabelFallsBackOnPartialTable(t *testing.T) {
 	}
 }
 
-// TestConeLabelsConcurrent evaluates labels from several goroutines at
-// once on a parallel-mode manager, as concurrent property checks do:
-// the lazily built cone cache must serve every caller the same result.
-func TestConeLabelsConcurrent(t *testing.T) {
+// TestConeLabelsAcrossGCAndReorder evaluates labels in reverse order on
+// a second network, collecting garbage between labels and sifting the
+// order halfway: the lazily built cone cache must serve every label the
+// function a fresh network computes.
+func TestConeLabelsAcrossGCAndReorder(t *testing.T) {
 	d, err := designs.Get("scheduler-8")
 	if err != nil {
 		t.Fatal(err)
@@ -171,33 +171,22 @@ func TestConeLabelsConcurrent(t *testing.T) {
 		}
 		return r
 	}
-	// Reference labels from a sequential network. The two networks own
-	// different managers, so compare node and state counts.
-	sig := func(n *Network, r bdd.Ref) string {
-		return fmt.Sprintf("%d nodes, %s states", n.mgr.NodeCount(r), n.NumStatesExact(r))
-	}
+	// The two networks own different managers (and, after the sift,
+	// different orders), so compare exact state counts.
 	ref := build()
 	want := make([]string, len(vars))
 	for i, v := range vars {
-		want[i] = sig(ref, label(ref, v))
+		want[i] = ref.NumStatesExact(label(ref, v)).String()
 	}
 	n := build()
-	n.mgr.SetWorkers(2)
-	got := make([]string, len(vars))
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(vars); i += 4 {
-				got[i] = sig(n, label(n, vars[i]))
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i, v := range vars {
-		if got[i] != want[i] {
-			t.Fatalf("label %s=0: %s concurrently, %s sequentially", v, got[i], want[i])
+	for i := len(vars) - 1; i >= 0; i-- {
+		if i == len(vars)/2 {
+			reorder.Sift(n.mgr, reorder.Options{Converge: true})
 		}
+		got := n.NumStatesExact(label(n, vars[i])).String()
+		if got != want[i] {
+			t.Fatalf("label %s=0: %s states, want %s", vars[i], got, want[i])
+		}
+		n.mgr.GC()
 	}
 }

@@ -17,8 +17,6 @@ import (
 	"math/big"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"hsis/internal/bdd"
 	"hsis/internal/blifmv"
@@ -97,8 +95,7 @@ type Network struct {
 
 	// Isomorphism-exploiting image pipeline (see iso.go), detected and
 	// compiled lazily like the clustered plans.
-	iso   *isoState
-	isoMu sync.Mutex
+	iso *isoState
 
 	// Clustered image pipeline, compiled lazily on first use: the
 	// conjuncts merged into size-bounded clusters, and one frozen
@@ -109,7 +106,6 @@ type Network struct {
 	clusters     []quant.Conjunct
 	imgPlan      *quant.CompiledPlan
 	prePlan      *quant.CompiledPlan
-	planMu       sync.Mutex
 	plansBuilt   bool
 	planEpoch    int // Manager.ReorderCount() when the plans were compiled
 	clusterLimit int
@@ -132,10 +128,7 @@ type Network struct {
 	heur  quant.Heuristic
 	naive bool
 
-	// tMu serializes the lazy EnsureT build; tBuilt is atomic so
-	// concurrent property checks may poll TBuilt without the lock.
-	tMu    sync.Mutex
-	tBuilt atomic.Bool
+	tBuilt bool // T holds the monolithic relation (see EnsureT)
 
 	labels labelCones // cone-local LabelEq state (label.go)
 }
@@ -341,8 +334,6 @@ func Build(flat *blifmv.Model, opts Options) (*Network, error) {
 // remaining schedule (which variables die at which cluster) is computed
 // here and merely replayed by every image/preimage call.
 func (n *Network) ensurePlans() {
-	n.planMu.Lock()
-	defer n.planMu.Unlock()
 	epoch := n.mgr.ReorderCount()
 	if n.plansBuilt && n.planEpoch == epoch {
 		return
@@ -383,33 +374,17 @@ func (n *Network) buildPartitionedBuffers() {
 
 // ImageOperands returns the conjunct list (every table relation plus the
 // present-state set s) and the quantification variables for one
-// partitioned image call. In sequential mode the returned slices are
-// buffers owned by the network, valid until the next ImageOperands
-// call; in parallel mode each call gets its own snapshot, so concurrent
-// fixpoints never scribble over each other's seed slot.
+// partitioned image call. The returned slices are buffers owned by the
+// network, valid until the next ImageOperands call.
 func (n *Network) ImageOperands(s bdd.Ref) ([]quant.Conjunct, []int) {
-	seed := quant.Conjunct{F: s, Support: n.psBits}
-	if n.mgr.Workers() > 1 {
-		conjs := make([]quant.Conjunct, len(n.imgConjs))
-		copy(conjs, n.imgConjs)
-		conjs[len(conjs)-1] = seed
-		return conjs, n.imgQVars
-	}
-	n.imgConjs[len(n.imgConjs)-1] = seed
+	n.imgConjs[len(n.imgConjs)-1] = quant.Conjunct{F: s, Support: n.psBits}
 	return n.imgConjs, n.imgQVars
 }
 
 // PreimageOperands is the next-state counterpart of ImageOperands; sNext
 // must already live on the NS rail (SwapRails applied).
 func (n *Network) PreimageOperands(sNext bdd.Ref) ([]quant.Conjunct, []int) {
-	seed := quant.Conjunct{F: sNext, Support: n.nsBits}
-	if n.mgr.Workers() > 1 {
-		conjs := make([]quant.Conjunct, len(n.preConjs))
-		copy(conjs, n.preConjs)
-		conjs[len(conjs)-1] = seed
-		return conjs, n.preQVars
-	}
-	n.preConjs[len(n.preConjs)-1] = seed
+	n.preConjs[len(n.preConjs)-1] = quant.Conjunct{F: sNext, Support: n.nsBits}
 	return n.preConjs, n.preQVars
 }
 
@@ -438,12 +413,12 @@ func (n *Network) ClusterConjuncts() []quant.Conjunct {
 
 // TBuilt reports whether the monolithic product transition relation has
 // been built (false until EnsureT on a SkipMonolithic network).
-func (n *Network) TBuilt() bool { return n.tBuilt.Load() }
+func (n *Network) TBuilt() bool { return n.tBuilt }
 
 func (n *Network) buildT() {
 	if n.naive {
 		n.T = quant.Naive(n.mgr, n.conjuncts, n.nonState)
-		n.tBuilt.Store(true)
+		n.tBuilt = true
 		return
 	}
 	n.ensurePlans()
@@ -455,17 +430,13 @@ func (n *Network) buildT() {
 	} else {
 		n.T = quant.AndExists(n.mgr, n.conjuncts, n.nonState, n.heur)
 	}
-	n.tBuilt.Store(true)
+	n.tBuilt = true
 }
 
 // EnsureT builds the monolithic product transition relation on demand
-// when the network was created with SkipMonolithic. It is idempotent
-// and safe to call from concurrent property checks: the first caller
-// builds, later callers wait on the mutex and see the finished T.
+// when the network was created with SkipMonolithic. It is idempotent.
 func (n *Network) EnsureT() {
-	n.tMu.Lock()
-	defer n.tMu.Unlock()
-	if n.tBuilt.Load() {
+	if n.tBuilt {
 		return
 	}
 	n.mgr.DecRef(n.T)

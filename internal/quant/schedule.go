@@ -229,12 +229,6 @@ func planLinear(conjuncts []Conjunct, quantify []int) *Schedule {
 // Execute runs a schedule against the actual BDDs. For schedules from
 // Plan over the same conjunct list, Execute(Plan(...)) computes the
 // same function as AndExists.
-//
-// When the manager is in parallel mode the steps run wave by wave:
-// every step whose PrevSteps producers have already finished is
-// independent of the other ready steps, so one wave's conjunctions
-// execute concurrently on the manager's worker pool. Canonicity makes
-// the result identical to the sequential order.
 func Execute(m *bdd.Manager, conjuncts []Conjunct, sched *Schedule) bdd.Ref {
 	results := make([]bdd.Ref, len(sched.Steps))
 	runStep := func(st Step) bdd.Ref {
@@ -261,42 +255,8 @@ func Execute(m *bdd.Manager, conjuncts []Conjunct, sched *Schedule) bdd.Ref {
 		}
 		return prod
 	}
-	if m.Workers() > 1 && len(sched.Steps) > 1 {
-		for _, wave := range stepWaves(sched.Steps) {
-			tasks := make([]func(), len(wave))
-			for k, idx := range wave {
-				idx := idx
-				tasks[k] = func() { results[idx] = runStep(sched.Steps[idx]) }
-			}
-			m.ParallelDo(tasks...)
-		}
-	} else {
-		for i, st := range sched.Steps {
-			results[i] = runStep(st)
-		}
+	for i, st := range sched.Steps {
+		results[i] = runStep(st)
 	}
 	return runStep(sched.Final)
-}
-
-// stepWaves partitions step indices into dependency waves: wave 0 holds
-// steps consuming original conjuncts only, and wave d holds steps whose
-// deepest PrevSteps producer sits in wave d-1. Steps inside one wave
-// never consume each other's results, so they may run concurrently.
-func stepWaves(steps []Step) [][]int {
-	depth := make([]int, len(steps))
-	var waves [][]int
-	for i, st := range steps {
-		d := 0
-		for _, p := range st.PrevSteps {
-			if depth[p] >= d {
-				d = depth[p] + 1
-			}
-		}
-		depth[i] = d
-		if d == len(waves) {
-			waves = append(waves, nil)
-		}
-		waves[d] = append(waves[d], i)
-	}
-	return waves
 }

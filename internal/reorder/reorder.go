@@ -5,10 +5,9 @@
 // CUDD lineage. The interaction matrix (built by the kernel at
 // StartReorder) turns swaps across non-interacting variable pairs into
 // pure relabels and lets a whole span of unrelated blocks be crossed
-// without size checks; a lower-bound estimate aborts a sift direction
-// as soon as no remaining position can beat the best size seen; and
-// positive symmetry detected during a size-neutral swap glues the pair
-// into a dynamic block so later passes move it as one. The kernel half
+// without size checks; and a lower-bound estimate aborts a sift
+// direction as soon as no remaining position can beat the best size
+// seen. The kernel half
 // — the in-place adjacent-level swap that keeps protected Refs valid —
 // lives in internal/bdd; this package is the search strategy on top.
 //
@@ -20,30 +19,10 @@ package reorder
 
 import (
 	"sort"
-	"sync"
 
 	"hsis/internal/bdd"
 	"hsis/internal/telemetry"
 )
-
-// zoneOps is the kernel surface siftBlock drives. Both the whole-order
-// ReorderSession handle and a ReorderZone implement it: the session
-// measures with the global live count and allocates unbounded, a zone
-// measures its own population and spends a private slot budget. Zoned
-// decisions therefore depend only on the zone's own swap sequence,
-// which is what makes the final order identical at any worker count.
-type zoneOps interface {
-	Swap(level int)
-	MoveBlock(level, width, span int)
-	ProbeSymmetry(level int) bool
-	LevelSize(level int) int
-	NoteLowerBoundAbort()
-	NoteSymmetricPair()
-	NoteBlockSifted()
-	Pop() int
-	Headroom() int
-	MaxBucket() int
-}
 
 // Options tunes one sifting run.
 type Options struct {
@@ -62,7 +41,6 @@ type Options struct {
 	// them). All false — everything enabled — is the default.
 	NoInteraction bool // full-cost swaps and no span skipping
 	NoLowerBound  bool // abort only on growth, never on the bound
-	NoSymmetry    bool // never probe or glue symmetric pairs
 }
 
 // Result reports one sifting run.
@@ -72,7 +50,6 @@ type Result struct {
 	Passes           int // sifting passes completed
 	InteractionSkips int // swaps taken as pure relabels (non-interacting pair)
 	LowerBoundAborts int // sift directions cut short by the lower bound
-	SymmetricPairs   int // variable pairs glued into symmetry blocks
 }
 
 // block is a run of adjacent levels that moves as a unit.
@@ -84,28 +61,16 @@ type block struct {
 
 // siftState is the mutable per-run state: the block sequence and the
 // id→position index swapBlocks keeps current, so the per-block loop
-// finds a block in O(1) instead of scanning (posOf[id] is -1 once a
-// block has been absorbed into a symmetry group).
+// finds a block in O(1) instead of scanning.
 type siftState struct {
 	blocks []block
 	posOf  []int
 }
 
 // Sift reorders the manager's variables by block sifting: each block in
-// turn is bubbled through its zone and settled at the position
+// turn is bubbled through the order and settled at the position
 // minimizing the live node count. A GC runs first so sifting measures
 // (and moves) only what the protected roots reach.
-//
-// The run is zoned: blocks are partitioned into connected components of
-// the interaction relation, each multi-block component is packed into a
-// contiguous band of levels (pure relabels — crossed blocks never
-// interact with the mover), and the components then sift independently,
-// concurrently when the manager has workers. A block's position
-// relative to blocks it does not interact with never changes any level
-// population, so confining each block to its component loses nothing;
-// single-block components have no position worth searching at all. The
-// NoInteraction ablation cannot partition (it pretends the matrix is
-// unusable) and runs the classic whole-order loop instead.
 func Sift(m *bdd.Manager, opts Options) Result {
 	growth := opts.MaxGrowth
 	if growth <= 1 {
@@ -127,202 +92,27 @@ func Sift(m *bdd.Manager, opts Options) Result {
 	s := m.StartReorder()
 	if opts.NoInteraction {
 		s.SetInteractionFastPath(false)
-		st := &siftState{blocks: blocks, posOf: make([]int, len(blocks))}
-		for i := range blocks {
-			st.posOf[i] = i
-		}
-		res.Passes = siftPasses(m, s, s, st, growth, passes, opts)
-	} else {
-		res.Passes = siftZoned(m, s, blocks, growth, passes, opts)
-	}
-	res.After = m.Size()
-	res.Swaps = s.Swaps()
-	res.InteractionSkips = s.InteractionSkips()
-	res.LowerBoundAborts = s.LowerBoundAborts()
-	res.SymmetricPairs = s.SymmetricPairs()
-	s.Close()
-	return res
-}
-
-// siftPasses runs up to maxPasses sifting passes over st's blocks under
-// kz, stopping early when a pass fails to shrink kz.Pop; it returns the
-// number of passes completed.
-func siftPasses(m *bdd.Manager, s *bdd.ReorderSession, kz zoneOps, st *siftState, growth float64, maxPasses int, opts Options) int {
-	done := 0
-	for p := 0; p < maxPasses; p++ {
-		startPop := kz.Pop()
-		for _, id := range blockOrder(kz, st.blocks) {
-			if idx := st.posOf[id]; idx >= 0 {
-				siftBlock(m, s, kz, st, idx, growth, opts)
-				kz.NoteBlockSifted()
-			}
-		}
-		done++
-		if kz.Pop() >= startPop {
-			break
-		}
-	}
-	return done
-}
-
-// siftZoned partitions, packs, and sifts the components concurrently.
-// It returns the largest per-zone pass count.
-func siftZoned(m *bdd.Manager, s *bdd.ReorderSession, blocks []block, growth float64, passes int, opts Options) int {
-	comps := componentsOf(m, s, blocks)
-	var multi [][]int
-	for _, c := range comps {
-		if len(c) >= 2 {
-			multi = append(multi, c)
-		}
-	}
-	if len(multi) == 0 {
-		// Every block is its own component: no position affects any
-		// level population, so there is nothing to sift.
-		return 0
 	}
 	st := &siftState{blocks: blocks, posOf: make([]int, len(blocks))}
 	for i := range blocks {
 		st.posOf[i] = i
 	}
-	packComponents(s, st, multi)
-	// Describe each packed component to the kernel by its variable band.
-	varSets := make([][]int, len(multi))
-	zoneBlocks := make([][]block, len(multi))
-	for i, comp := range multi {
-		p0 := st.posOf[comp[0]]
-		zb := append([]block(nil), st.blocks[p0:p0+len(comp)]...)
-		first, last := zb[0], zb[len(zb)-1]
-		var vars []int
-		for l := first.level; l < last.level+last.width; l++ {
-			vars = append(vars, m.VarAtLevel(l))
+	for p := 0; p < passes; p++ {
+		startSize := m.Size()
+		for _, id := range blockOrder(s, st.blocks) {
+			siftBlock(m, s, st, st.posOf[id], growth, opts)
 		}
-		varSets[i] = vars
-		zoneBlocks[i] = zb
-	}
-	zones := s.OpenZones(varSets, growth)
-	defer s.CloseZones()
-
-	runZone := func(i int) int {
-		zst := &siftState{blocks: zoneBlocks[i], posOf: make([]int, len(blocks))}
-		for j := range zst.posOf {
-			zst.posOf[j] = -1
-		}
-		for j, b := range zst.blocks {
-			zst.posOf[b.id] = j
-		}
-		return siftPasses(m, s, zones[i], zst, growth, passes, opts)
-	}
-
-	maxPass := 0
-	workers := m.Workers()
-	if workers > len(zones) {
-		workers = len(zones)
-	}
-	if workers <= 1 {
-		for i := range zones {
-			if p := runZone(i); p > maxPass {
-				maxPass = p
-			}
-		}
-		return maxPass
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		fault any
-		sem   = make(chan struct{}, workers)
-	)
-	for i := range zones {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if fault == nil {
-						fault = r
-					}
-					mu.Unlock()
-				}
-			}()
-			p := runZone(i)
-			mu.Lock()
-			if p > maxPass {
-				maxPass = p
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	if fault != nil {
-		panic(fault)
-	}
-	return maxPass
-}
-
-// componentsOf groups block IDs into connected components of the
-// interaction relation, each listed in ascending position, components
-// ordered by first member.
-func componentsOf(m *bdd.Manager, s *bdd.ReorderSession, blocks []block) [][]int {
-	n := len(blocks)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if ri, rj := find(i), find(j); ri != rj && interacting(m, s, blocks[i], blocks[j]) {
-				parent[rj] = ri
-			}
+		res.Passes++
+		if m.Size() >= startSize {
+			break
 		}
 	}
-	byRoot := make(map[int][]int, n)
-	var order []int
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if len(byRoot[r]) == 0 {
-			order = append(order, r)
-		}
-		byRoot[r] = append(byRoot[r], i)
-	}
-	out := make([][]int, 0, len(order))
-	for _, r := range order {
-		out = append(out, byRoot[r])
-	}
-	return out
-}
-
-// packComponents makes each multi-block component occupy contiguous
-// positions (hence contiguous levels), pulling later members left to
-// sit after the first. Every block crossed sits between two members of
-// the moving block's component and belongs to another component, so it
-// cannot interact with the mover and each move is a pure relabel.
-func packComponents(s *bdd.ReorderSession, st *siftState, comps [][]int) {
-	for _, comp := range comps {
-		target := st.posOf[comp[0]]
-		for _, id := range comp[1:] {
-			target++
-			p := st.posOf[id]
-			if p == target {
-				continue
-			}
-			span := 0
-			for q := target; q < p; q++ {
-				span += st.blocks[q].width
-			}
-			jumpBlocks(s, st, p, -1, p-target, span)
-		}
-	}
+	res.After = m.Size()
+	res.Swaps = s.Swaps()
+	res.InteractionSkips = s.InteractionSkips()
+	res.LowerBoundAborts = s.LowerBoundAborts()
+	s.Close()
+	return res
 }
 
 // EnableAuto arms growth-triggered sifting on m: when live nodes exceed
@@ -401,11 +191,11 @@ func materializeBlocks(m *bdd.Manager) []block {
 // blockOrder returns block ids heaviest-first: sifting the most
 // populated levels first realizes the biggest reductions early, which
 // tightens the max-growth bound for every later move.
-func blockOrder(kz zoneOps, blocks []block) []int {
+func blockOrder(s *bdd.ReorderSession, blocks []block) []int {
 	type weighted struct{ id, nodes int }
 	ws := make([]weighted, len(blocks))
 	for i, b := range blocks {
-		ws[i] = weighted{b.id, blockPop(kz, b)}
+		ws[i] = weighted{b.id, blockPop(s, b)}
 	}
 	sort.SliceStable(ws, func(i, j int) bool { return ws[i].nodes > ws[j].nodes })
 	out := make([]int, len(ws))
@@ -416,10 +206,10 @@ func blockOrder(kz zoneOps, blocks []block) []int {
 }
 
 // blockPop returns the block's current node population.
-func blockPop(kz zoneOps, b block) int {
+func blockPop(s *bdd.ReorderSession, b block) int {
 	pop := 0
 	for l := b.level; l < b.level+b.width; l++ {
-		pop += kz.LevelSize(l)
+		pop += s.LevelSize(l)
 	}
 	return pop
 }
@@ -429,7 +219,7 @@ func blockPop(kz zoneOps, b block) int {
 // variable's pinned projection node, so a level's population never
 // drops below one and a block's never below its width — which is what
 // makes the lower bound in siftBlock sound.
-func slack(kz zoneOps, b block) int { return blockPop(kz, b) - b.width }
+func slack(s *bdd.ReorderSession, b block) int { return blockPop(s, b) - b.width }
 
 // interacting reports whether any variable of a interacts with any
 // variable of b (both blocks at their current levels).
@@ -453,19 +243,14 @@ func interacting(m *bdd.Manager, s *bdd.ReorderSession, a, b block) bool {
 // blocks ahead of it (crossing a non-interacting block is an exact
 // relabel, and blocks already passed are frozen for this direction), so
 // once size − Σ slack(ahead) − slack(moving) ≥ best the direction is
-// dead. Size-neutral swaps across an interacting pair of singleton
-// blocks probe for positive symmetry and glue the pair into one block.
-//
-// All size decisions go through kz: inside a zone that is the zone's
-// own population and its private slot budget, so the search is
-// oblivious to what concurrent zones are doing.
-func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, kz zoneOps, st *siftState, idx int, growth float64, opts Options) {
+// dead.
+func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, st *siftState, idx int, growth float64, opts Options) {
 	var sp telemetry.Span
 	if t := m.Telemetry(); t != nil {
 		sp = t.Start("reorder.sift_block")
 	}
 	fromLevel := st.blocks[idx].level
-	fromSize := kz.Pop()
+	fromSize := m.Size()
 	best := fromSize
 	bestPos := idx
 	cur := idx
@@ -479,7 +264,7 @@ func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, kz zoneOps, st *siftState,
 		if !opts.NoLowerBound {
 			for q := cur + dir; q >= 0 && q < len(blocks); q += dir {
 				if opts.NoInteraction || interacting(m, s, blocks[cur], blocks[q]) {
-					R += slack(kz, blocks[q])
+					R += slack(s, blocks[q])
 				}
 			}
 		}
@@ -500,62 +285,32 @@ func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, kz zoneOps, st *siftState,
 					span += blocks[q].width
 				}
 				if k > 0 {
-					jumpBlocks(kz, st, cur, dir, k, span)
+					jumpBlocks(s, st, cur, dir, k, span)
 					cur += k * dir
 					continue
 				}
 			}
-			// Slot-budget gate: a zone allocates swap fill from a private
-			// budget, and one adjacent swap can demand up to the larger
-			// bucket's worth of fresh slots. Abort the direction while
-			// enough remains to settle back rather than run the budget to
-			// the panic wall mid-swap.
-			if hr := kz.Headroom(); hr >= 0 && hr < 4*kz.MaxBucket()+64 {
-				return
-			}
-			mover, other := blocks[cur], blocks[nxt]
 			c := 0
 			if !opts.NoLowerBound {
-				c = slack(kz, other)
-			}
-			symEligible := !opts.NoSymmetry && mover.width == 1 && other.width == 1
-			var popHi, popLo int
-			if symEligible {
-				popHi, popLo = kz.LevelSize(mover.level), kz.LevelSize(other.level)
-				if dir < 0 {
-					popHi, popLo = popLo, popHi
-				}
+				c = slack(s, blocks[nxt])
 			}
 			j := cur
 			if dir < 0 {
 				j = cur - 1
 			}
-			swapBlocks(kz, st, j)
+			swapBlocks(s, st, j)
 			cur = nxt
-			sz := kz.Pop()
+			sz := m.Size()
 			if sz < best {
 				best, bestPos = sz, cur
-			}
-			if symEligible && sz == best &&
-				kz.LevelSize(st.blocks[j].level) == popLo &&
-				kz.LevelSize(st.blocks[j].level+1) == popHi &&
-				kz.ProbeSymmetry(st.blocks[j].level) {
-				glueAt(m, st, j)
-				cur = j
-				bestPos = j
-				kz.NoteSymmetricPair()
-				if !opts.NoLowerBound {
-					R -= c
-				}
-				continue
 			}
 			if float64(sz) > growth*float64(best) {
 				return
 			}
 			if !opts.NoLowerBound {
 				R -= c
-				if sz-R-slack(kz, st.blocks[cur]) >= best {
-					kz.NoteLowerBoundAbort()
+				if sz-R-slack(s, st.blocks[cur]) >= best {
+					s.NoteLowerBoundAbort()
 					return
 				}
 			}
@@ -581,7 +336,7 @@ func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, kz zoneOps, st *siftState,
 				span += st.blocks[q].width
 			}
 			if k > 0 {
-				jumpBlocks(kz, st, cur, dir, k, span)
+				jumpBlocks(s, st, cur, dir, k, span)
 				cur += k * dir
 				continue
 			}
@@ -590,7 +345,7 @@ func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, kz zoneOps, st *siftState,
 		if dir < 0 {
 			j = cur - 1
 		}
-		swapBlocks(kz, st, j)
+		swapBlocks(s, st, j)
 		cur += dir
 	}
 	sp.End(
@@ -599,30 +354,7 @@ func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, kz zoneOps, st *siftState,
 		telemetry.Int("from_level", fromLevel),
 		telemetry.Int("to_level", st.blocks[cur].level),
 		telemetry.Int("from_size", fromSize),
-		telemetry.Int("to_size", kz.Pop()))
-}
-
-// glueAt merges the adjacent blocks at positions j and j+1 into one
-// dynamic block (upper block's identity survives), registers the merged
-// variables as a permanent group so later Sift runs move them together,
-// and compacts the block sequence. The caller has just verified the
-// swap was size-neutral and the pair positively symmetric; a glue can
-// never be wrong, only unhelpful, because block moves preserve all
-// functions regardless.
-func glueAt(m *bdd.Manager, st *siftState, j int) {
-	upper, lower := st.blocks[j], st.blocks[j+1]
-	vars := make([]int, 0, upper.width+lower.width)
-	for l := upper.level; l < lower.level+lower.width; l++ {
-		vars = append(vars, m.VarAtLevel(l))
-	}
-	m.GroupVars(vars)
-	st.posOf[lower.id] = -1
-	upper.width += lower.width
-	st.blocks[j] = upper
-	st.blocks = append(st.blocks[:j+1], st.blocks[j+2:]...)
-	for q := j + 1; q < len(st.blocks); q++ {
-		st.posOf[st.blocks[q].id] = q
-	}
+		telemetry.Int("to_size", m.Size()))
 }
 
 // jumpBlocks moves the block at position cur across the k consecutive
@@ -630,11 +362,11 @@ func glueAt(m *bdd.Manager, st *siftState, j int) {
 // them interacting with the mover — with one O(span) kernel relabel,
 // then fixes up block levels and the id→position index. The crossed
 // blocks keep their internal order and shift by the mover's width.
-func jumpBlocks(kz zoneOps, st *siftState, cur, dir, k, span int) {
+func jumpBlocks(s *bdd.ReorderSession, st *siftState, cur, dir, k, span int) {
 	blocks := st.blocks
 	mover := blocks[cur]
 	if dir > 0 {
-		kz.MoveBlock(mover.level, mover.width, span)
+		s.MoveBlock(mover.level, mover.width, span)
 		copy(blocks[cur:], blocks[cur+1:cur+k+1])
 		for q := cur; q < cur+k; q++ {
 			blocks[q].level -= mover.width
@@ -644,7 +376,7 @@ func jumpBlocks(kz zoneOps, st *siftState, cur, dir, k, span int) {
 		blocks[cur+k] = mover
 		st.posOf[mover.id] = cur + k
 	} else {
-		kz.MoveBlock(mover.level, mover.width, -span)
+		s.MoveBlock(mover.level, mover.width, -span)
 		copy(blocks[cur-k+1:cur+1], blocks[cur-k:cur])
 		for q := cur - k + 1; q <= cur; q++ {
 			blocks[q].level += mover.width
@@ -659,14 +391,14 @@ func jumpBlocks(kz zoneOps, st *siftState, cur, dir, k, span int) {
 // swapBlocks exchanges the adjacent blocks at positions j and j+1 with
 // width(x)*width(y) adjacent-level swaps, preserving the internal order
 // of both, and keeps the id→position index current.
-func swapBlocks(kz zoneOps, st *siftState, j int) {
+func swapBlocks(s *bdd.ReorderSession, st *siftState, j int) {
 	blocks := st.blocks
 	x, y := blocks[j], blocks[j+1]
 	p := x.level
 	// Bubble each level of y in turn up through all of x.
 	for k := 0; k < y.width; k++ {
 		for t := p + x.width + k; t > p+k; t-- {
-			kz.Swap(t - 1)
+			s.Swap(t - 1)
 		}
 	}
 	y.level = p

@@ -35,11 +35,9 @@ import (
 )
 
 // JobOptions tunes one verification job. The zero value is a sane
-// default: sequential kernel, auto image engine, no reordering, the
-// server's default deadline.
+// default: auto image engine, no reordering, the server's default
+// deadline.
 type JobOptions struct {
-	// Workers is the per-job BDD kernel worker count (0/1 sequential).
-	Workers int `json:"workers,omitempty"`
 	// Image selects the image-computation engine ("", "auto",
 	// "monolithic", "partitioned", "clustered", "iso").
 	Image string `json:"image,omitempty"`
@@ -251,9 +249,6 @@ func (r *Request) validate() error {
 	}
 	if r.Verilog != "" && r.Top == "" {
 		return errors.New("verilog source requires top")
-	}
-	if r.Options.Workers < 0 {
-		return fmt.Errorf("negative workers %d", r.Options.Workers)
 	}
 	if r.Options.TimeoutMS < 0 {
 		return fmt.Errorf("negative timeout_ms %d", r.Options.TimeoutMS)

@@ -16,15 +16,6 @@ type KernelTotals struct {
 	GCs         int64  `json:"gcs"`
 	Reorders    int64  `json:"reorders"`
 	MaxPeakLive int64  `json:"max_peak_live_nodes"`
-
-	// Parallel-kernel counters (two-level op cache, grain controller,
-	// zoned sifting), summed across jobs like the cache counters above.
-	L1Hits        uint64 `json:"l1_hits"`
-	L1Merges      uint64 `json:"l1_merges"`
-	L1Promotions  uint64 `json:"l1_promotions"`
-	GrainAdjusts  uint64 `json:"grain_adjusts"`
-	SiftZones     uint64 `json:"sift_zones"`
-	SiftParBlocks uint64 `json:"sift_par_blocks"`
 }
 
 // CacheMetrics reports the artifact cache's effectiveness.
@@ -110,26 +101,6 @@ func (s *Server) initRegistry() {
 	r.CounterFunc("hsis_traces_written_total", "per-job traces flushed successfully", s.tracesWritten.Load)
 	r.CounterFunc("hsis_trace_failures_total", "per-job traces that failed to flush", s.traceFailures.Load)
 
-	kernel := func(read func(*KernelTotals) int64) func() int64 {
-		return func() int64 {
-			s.kernelMu.Lock()
-			defer s.kernelMu.Unlock()
-			return read(&s.kernelTotals)
-		}
-	}
-	r.CounterFunc("hsis_kernel_worker_cache_hits_total", "op-cache probes answered by a private worker L1",
-		kernel(func(k *KernelTotals) int64 { return int64(k.L1Hits) }))
-	r.CounterFunc("hsis_kernel_worker_cache_merges_total", "L1-to-L2 op-cache promotion drains",
-		kernel(func(k *KernelTotals) int64 { return int64(k.L1Merges) }))
-	r.CounterFunc("hsis_kernel_worker_cache_promotions_total", "op-cache entries published to the shared L2",
-		kernel(func(k *KernelTotals) int64 { return int64(k.L1Promotions) }))
-	r.CounterFunc("hsis_kernel_grain_adjusts_total", "fork-depth moves by the grain controller",
-		kernel(func(k *KernelTotals) int64 { return int64(k.GrainAdjusts) }))
-	r.CounterFunc("hsis_kernel_sift_zones_total", "independent reorder zones opened",
-		kernel(func(k *KernelTotals) int64 { return int64(k.SiftZones) }))
-	r.CounterFunc("hsis_kernel_sift_par_blocks_total", "blocks sifted inside reorder zones",
-		kernel(func(k *KernelTotals) int64 { return int64(k.SiftParBlocks) }))
-
 	r.GaugeFunc("hsis_artifact_cache_entries", "compiled design artifacts cached",
 		func() int64 { n, _, _, _ := s.cache.stats(); return int64(n) })
 	r.CounterFunc("hsis_artifact_cache_hits_total", "artifact lookups that skipped the frontend",
@@ -150,9 +121,9 @@ func (s *Server) initRegistry() {
 	s.imageTime = r.NewHistogramVec("hsis_image_seconds",
 		"one full image computation", "engine")
 	s.gcPause = r.NewHistogramVec("hsis_gc_pause_seconds",
-		"exclusive (stop-the-world) window of one kernel garbage collection", "engine")
+		"sweep and unique-table rebuild of one kernel garbage collection", "engine")
 	s.gcMark = r.NewHistogramVec("hsis_gc_mark_seconds",
-		"concurrent mark phase of one parallel kernel garbage collection", "engine")
+		"mark phase of one kernel garbage collection", "engine")
 	s.reorderTime = r.NewHistogramVec("hsis_reorder_session_seconds",
 		"one dynamic-reordering session, start to close", "engine")
 	s.cacheLookup = r.NewHistogramVec("hsis_artifact_cache_lookup_seconds",

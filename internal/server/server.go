@@ -75,8 +75,8 @@ type Server struct {
 	jobExec      *telemetry.HistogramVec // by tenant: execution start → terminal
 	fixpointIter *telemetry.HistogramVec // by engine: one fixpoint frontier extension
 	imageTime    *telemetry.HistogramVec // by engine: one full image computation
-	gcPause      *telemetry.HistogramVec // by engine: one GC's exclusive window
-	gcMark       *telemetry.HistogramVec // by engine: one GC's concurrent mark
+	gcPause      *telemetry.HistogramVec // by engine: one GC's sweep and rebuild
+	gcMark       *telemetry.HistogramVec // by engine: one GC's mark phase
 	reorderTime  *telemetry.HistogramVec // by engine: one reordering session
 	cacheLookup  *telemetry.HistogramVec // by result (hit/miss): artifact lookup
 }
@@ -472,7 +472,6 @@ func (s *Server) runVerification(j *Job) (res *Result, err error) {
 	}
 
 	ws, err := d.Instantiate(core.Options{
-		Workers:         j.req.Options.Workers,
 		Image:           j.req.Options.Image,
 		Reorder:         j.req.Options.Reorder,
 		ConeOfInfluence: j.req.Options.ConeOfInfluence,
@@ -524,12 +523,6 @@ func (s *Server) accumulateKernel(ws *core.Workspace) {
 	k.QuantHits += st.QuantHits + st.AndExistsHits
 	k.GCs += int64(st.GCs)
 	k.Reorders += int64(st.Reorders)
-	k.L1Hits += st.L1Hits
-	k.L1Merges += st.L1Merges
-	k.L1Promotions += st.L1Promotions
-	k.GrainAdjusts += st.GrainAdjusts
-	k.SiftZones += st.SiftZones
-	k.SiftParBlocks += st.SiftParBlocks
 	if int64(st.PeakLive) > k.MaxPeakLive {
 		k.MaxPeakLive = int64(st.PeakLive)
 	}

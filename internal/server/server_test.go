@@ -523,3 +523,35 @@ func TestInvalidRequests(t *testing.T) {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestWorkersOptionIgnored submits a job carrying a "workers" option,
+// which JobOptions does not have: the decoder ignores the field and the
+// job runs to pingpong's usual verdicts.
+func TestWorkersOptionIgnored(t *testing.T) {
+	_, base := newTestServer(t, Config{Workers: 1})
+	body := `{"builtin":"pingpong","options":{"workers":4,"reach":true}}`
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d, want 202", resp.StatusCode)
+	}
+	var v JobView
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	got := waitTerminal(t, base, v.ID, 30*time.Second)
+	if got.Status != StatusDone {
+		t.Fatalf("status %s (%s), want done", got.Status, got.Error)
+	}
+	if got.Result.ReachedStates != "4" {
+		t.Errorf("reached states %s, want 4", got.Result.ReachedStates)
+	}
+	for _, p := range got.Result.Properties {
+		if !p.Pass {
+			t.Errorf("pingpong property %s failed", p.Name)
+		}
+	}
+}

@@ -183,8 +183,8 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 type MetricSet struct {
 	FixpointIter Histogram // one frontier extension of any fixpoint driver
 	Image        Histogram // one full (clustered or monolithic) image computation
-	GCPause      Histogram // the exclusive portion of one kernel garbage collection
-	GCMark       Histogram // the concurrent mark phase of one parallel collection
+	GCPause      Histogram // the sweep and table rebuild of one kernel garbage collection
+	GCMark       Histogram // the mark phase of one kernel garbage collection
 	Reorder      Histogram // one dynamic-reordering session, start to close
 }
 

@@ -118,14 +118,13 @@ func addReorderMetrics(results []result) {
 }
 
 // workersSeg matches the "workers-N" / "workers=N" path segment the
-// parallel-scaling and server benchmarks use for their sub-benchmark
-// names.
+// server benchmark uses for its sub-benchmark names.
 var workersSeg = regexp.MustCompile(`workers([-=])(\d+)`)
 
 // addParallelSpeedups derives speedup-vs-workers-1 on every row whose
 // name carries a "workers-N" segment with N > 1 and that has a
-// "workers-1" twin, so BENCH_parallel.json and BENCH_server.json carry
-// the scaling ratio directly. Any "-<procs>" suffix `go test -bench`
+// "workers-1" twin, so BENCH_server.json carries the scaling ratio
+// directly. Any "-<procs>" suffix `go test -bench`
 // appends at GOMAXPROCS > 1 is ignored for twin matching.
 func addParallelSpeedups(results []result) {
 	// At GOMAXPROCS=1 the bench name has no "-<procs>" suffix and ends
