@@ -19,10 +19,12 @@ import (
 	"hsis/internal/core"
 	"hsis/internal/ctl"
 	"hsis/internal/designs"
+	"hsis/internal/emptiness"
 	"hsis/internal/lc"
 	"hsis/internal/network"
 	"hsis/internal/quant"
 	"hsis/internal/reach"
+	"hsis/internal/sys"
 )
 
 func load(b *testing.B, name string, opts core.Options) *core.Workspace {
@@ -370,7 +372,9 @@ func BenchmarkImage(b *testing.B) {
 // variable permutation. Run with -benchtime=1x: the warm op caches make
 // repeat iterations nearly free, so only a cold run measures the
 // compile phase honestly. benchjson derives a speedup-vs-clustered
-// ratio for every design from the paired rows of BENCH_iso.json.
+// ratio for every design from the paired rows of BENCH_iso.json. Iso
+// rows report plan-steps, the AndExists steps of one image replay; one
+// extra row times a fair hull over scheduler-32's reached set.
 func BenchmarkIso(b *testing.B) {
 	for _, name := range []string{"philos-16", "philos-64", "scheduler-32", "mdlc2", "gigamax"} {
 		name := name
@@ -407,12 +411,40 @@ func BenchmarkIso(b *testing.B) {
 						b.ReportMetric(float64(s.Replicated), "iso-latches")
 						b.ReportMetric(float64(st.PermCalls), "perm-calls")
 						b.ReportMetric(100*st.PermHitRate(), "perm-hit-%")
+						b.ReportMetric(float64(s.ImageSteps), "plan-steps")
 					}
 					b.StartTimer()
 				}
 			})
 		}
 	}
+	// The fair hull of scheduler-32 under its design fairness (one
+	// negative-state constraint per cell): nested preimage fixpoints over
+	// the reached set, the access pattern of fair CTL and LC emptiness.
+	b.Run("scheduler-32/fair-hull", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			w := load(b, "scheduler-32", core.Options{Image: "iso"})
+			n := w.Net
+			res := reach.Forward(n, reach.Options{Engine: reach.EngineIso})
+			if !res.Converged {
+				b.Fatal("diverged")
+			}
+			b.StartTimer()
+			hull := emptiness.FairStates(sys.FromNetworkEngine(n, reach.EngineIso), w.FC, res.Reached)
+			b.StopTimer()
+			if hull.Fair == bdd.False {
+				b.Fatal("empty fair hull")
+			}
+			st := n.Manager().Stats()
+			for metric, v := range st.BenchMetrics() {
+				b.ReportMetric(v, metric)
+			}
+			b.ReportMetric(float64(hull.Iterations), "hull-iters")
+			b.ReportMetric(float64(n.IsoSummaryInfo().ImageSteps), "plan-steps")
+			b.StartTimer()
+		}
+	})
 }
 
 // BenchmarkNegationHeavy exercises the negation-dominated access pattern

@@ -278,6 +278,10 @@ func (sh *shell) exec(line string) error {
 		if s := n.IsoSummaryInfo(); s.Classes > 0 {
 			fmt.Fprintf(sh.out, "isomorphic cones: %d classes covering %d/%d latches, sizes %v\n",
 				s.Classes, s.Replicated, len(n.Latches()), s.Sizes)
+			if s.Planned {
+				fmt.Fprintf(sh.out, "iso plan: clusters %d (largest %d BDD nodes), image steps %d, preimage steps %d\n",
+					s.Clusters, s.MaxClusterNodes, s.ImageSteps, s.PreimageSteps)
+			}
 		}
 		n.Manager().Stats().WriteTable(sh.out)
 		if t := telemetry.T(); t != nil {

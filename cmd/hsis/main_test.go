@@ -315,6 +315,27 @@ func TestShellScaledDesignSkipsT(t *testing.T) {
 	}
 }
 
+// TestShellIsoPlanLine: after reachability on scheduler-64, print_stats
+// shows the shape of the iso plans — the cross-replica merge leaves one
+// cluster, so each direction replays a single step.
+func TestShellIsoPlanLine(t *testing.T) {
+	sh, buf := newTestShell()
+	out := run(t, sh, buf, "read_builtin scheduler-64", "print_stats")
+	if strings.Contains(out, "iso plan:") {
+		t.Fatalf("print_stats compiled the iso plans before any image:\n%s", out)
+	}
+	out = run(t, sh, buf, "compute_reach", "print_stats")
+	for _, want := range []string{
+		"isomorphic cones: 2 classes covering 128/128 latches",
+		"iso plan: clusters 1 (largest ",
+		" BDD nodes), image steps 1, preimage steps 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestParseFlags checks the command line goes through the binder shared
 // with table1, and that -workers is not a flag.
 func TestParseFlags(t *testing.T) {

@@ -146,7 +146,8 @@ type Manager struct {
 	allocsAtGC  uint64                 // allocs at the last collection (demand estimate)
 	sinceAdapt  uint64                 // allocations since the last adaptation checkpoint
 
-	marks []uint64 // reusable mark bitmap, one bit per node slot
+	marks   []uint64 // reusable mark bitmap, one bit per node slot
+	counted []uint64 // NodeCount's bitmap, all zero between calls
 
 	// Reusable rebuild memo (Permute/Compose/VectorCompose): indexed by
 	// stored-node id, validated by an epoch stamp so calls never clear

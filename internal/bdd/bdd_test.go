@@ -683,3 +683,37 @@ func TestWriteReadTerminalsAndShared(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeCountMatchesTraversal checks the bitmap node count against a
+// map-based traversal, across GCs and arena growth, and that repeated
+// and multi-root counts see a clean bitmap.
+func TestNodeCountMatchesTraversal(t *testing.T) {
+	m := New()
+	vs := m.NewVars(10)
+	rng := rand.New(rand.NewSource(3))
+	var kept []Ref
+	for trial := 0; trial < 300; trial++ {
+		f := randomBDD(m, vs, rng, 6)
+		seen := map[Ref]bool{}
+		m.countRec(f, seen)
+		if got := m.NodeCount(f); got != len(seen) {
+			t.Fatalf("trial %d: NodeCount %d, traversal %d", trial, got, len(seen))
+		}
+		if m.NodeCount(m.Not(f)) != len(seen) {
+			t.Fatalf("trial %d: f and ¬f counts differ", trial)
+		}
+		if len(kept) > 0 {
+			g := kept[len(kept)-1]
+			m.countRec(g, seen)
+			if got := m.NodeCountMulti([]Ref{f, g, f}); got != len(seen) {
+				t.Fatalf("trial %d: NodeCountMulti %d, traversal %d", trial, got, len(seen))
+			}
+		}
+		if trial%50 == 49 {
+			m.GC()
+			kept = kept[:0]
+		} else {
+			kept = append(kept, m.IncRef(f))
+		}
+	}
+}

@@ -84,15 +84,8 @@ func (m *Manager) Restrict(f, c Ref) Ref {
 	// Restrict is a heuristic: on rare inputs the recursion grows the
 	// graph. f itself trivially agrees with f on the care set, so fall
 	// back to it whenever minimization did not pay off.
-	if r != f {
-		seen := make(map[Ref]bool)
-		m.countRec(r, seen)
-		nr := len(seen)
-		seen = make(map[Ref]bool)
-		m.countRec(f, seen)
-		if nr > len(seen) {
-			r = f
-		}
+	if r != f && m.countNodes(r) > m.countNodes(f) {
+		r = f
 	}
 	return r
 }

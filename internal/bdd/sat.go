@@ -192,18 +192,46 @@ func (m *Manager) supportRec(f Ref, seen map[Ref]bool, vars map[int]bool) {
 // terminal when it is reachable. f and ¬f have the same count.
 func (m *Manager) NodeCount(f Ref) int {
 	m.check(f)
-	seen := make(map[Ref]bool)
-	m.countRec(f, seen)
-	return len(seen)
+	return m.countNodes(f)
 }
 
 // NodeCountMulti returns the number of distinct stored nodes in the
 // shared forest rooted at the given functions.
 func (m *Manager) NodeCountMulti(fs []Ref) int {
-	seen := make(map[Ref]bool)
 	for _, f := range fs {
 		m.check(f)
-		m.countRec(f, seen)
+	}
+	return m.countNodes(fs...)
+}
+
+// countNodes counts the distinct stored nodes under roots. It marks
+// them in m.counted, a bitmap that is all zero between calls (the
+// visited bits are cleared on the way out), so a count costs a bit test
+// per edge rather than a map insert per node.
+func (m *Manager) countNodes(roots ...Ref) int {
+	if n := (m.nodeCap + 63) / 64; len(m.counted) < n {
+		m.counted = append(m.counted, make([]uint64, n-len(m.counted))...)
+	}
+	var seen []Ref // visited nodes, doubling as the work queue
+	visit := func(f Ref) {
+		f = regular(f)
+		if w, b := f>>6, uint64(1)<<(uint(f)&63); m.counted[w]&b == 0 {
+			m.counted[w] |= b
+			seen = append(seen, f)
+		}
+	}
+	for _, f := range roots {
+		visit(f)
+	}
+	for i := 0; i < len(seen); i++ {
+		if seen[i] != False {
+			n := m.node(seen[i])
+			visit(n.low)
+			visit(n.high)
+		}
+	}
+	for _, f := range seen {
+		m.counted[f>>6] &^= uint64(1) << (uint(f) & 63)
 	}
 	return len(seen)
 }

@@ -278,32 +278,58 @@ func TestMdlc2AutoSiftMatchesReorderOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mdlc2 verification is slow")
 	}
-	run := func(opts Options) (string, map[string]bool) {
-		w := loadDesign(t, "mdlc2", opts)
-		states := w.ReachableStatesExact().String()
-		verdicts := map[string]bool{}
-		for _, r := range w.VerifyAll() {
-			if r.Err != nil {
-				t.Fatalf("reorder %q: %s: %v", opts.Reorder, r.Name, r.Err)
-			}
-			verdicts[string(r.Kind)+"/"+r.Name] = r.Pass
-		}
-		st := w.Net.Manager().Stats()
-		t.Logf("reorder %q: %s states, %v, peak %d live nodes, %d sifts",
-			opts.Reorder, states, verdicts, st.PeakLive, st.Reorders)
-		return states, verdicts
+	matchReorderOff(t, Options{Reorder: "auto", Workers: 2}, "under auto sifting")
+}
+
+// TestMdlc2ExplicitIsoMatchesReorderOff: an explicit -image iso on mdlc2
+// (three replicated pairs, below the IsoWorthwhile bar) replays the
+// per-replica clusters without the cross-replica merge and must give
+// reorder-off's exact state count and verdicts.
+func TestMdlc2ExplicitIsoMatchesReorderOff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mdlc2 verification is slow")
 	}
-	wantStates, want := run(Options{})
-	gotStates, got := run(Options{Reorder: "auto", Workers: 2})
+	matchReorderOff(t, Options{Image: "iso"}, "under explicit iso")
+}
+
+// verifyMdlc2 returns mdlc2's exact reachable-state count and every
+// verdict under opts.
+func verifyMdlc2(t *testing.T, opts Options) (string, map[string]bool) {
+	t.Helper()
+	w := loadDesign(t, "mdlc2", opts)
+	states := w.ReachableStatesExact().String()
+	verdicts := map[string]bool{}
+	for _, r := range w.VerifyAll() {
+		if r.Err != nil {
+			t.Fatalf("%+v: %s: %v", opts, r.Name, r.Err)
+		}
+		verdicts[string(r.Kind)+"/"+r.Name] = r.Pass
+	}
+	st := w.Net.Manager().Stats()
+	t.Logf("reorder %q, image %q: %s states, %v, peak %d live nodes, %d sifts",
+		opts.Reorder, opts.Image, states, verdicts, st.PeakLive, st.Reorders)
+	return states, verdicts
+}
+
+// matchReorderOff checks that mdlc2 under opts reaches exactly the
+// states, and gives exactly the verdicts, of a run at default options
+// (reordering off).
+func matchReorderOff(t *testing.T, opts Options, how string) {
+	t.Helper()
+	wantStates, want := verifyMdlc2(t, Options{})
+	if wantStates != "28954" {
+		t.Fatalf("reorder off: %s states, want 28954", wantStates)
+	}
+	gotStates, got := verifyMdlc2(t, opts)
 	if gotStates != wantStates {
-		t.Errorf("reachable states: %s under auto sifting, %s with reordering off", gotStates, wantStates)
+		t.Errorf("reachable states: %s %s, %s with reordering off", gotStates, how, wantStates)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("verdict count: %d under auto sifting, %d with reordering off", len(got), len(want))
+		t.Fatalf("verdict count: %d %s, %d with reordering off", len(got), how, len(want))
 	}
 	for k, w := range want {
 		if got[k] != w {
-			t.Errorf("%s: pass=%v under auto sifting, %v with reordering off", k, got[k], w)
+			t.Errorf("%s: pass=%v %s, %v with reordering off", k, got[k], how, w)
 		}
 	}
 }

@@ -84,7 +84,7 @@ func FairStates(s sys.System, fc *fair.Constraints, restrict bdd.Ref) Result {
 		// (1) infinite-path hull
 		z = EG(s, z)
 		if z == bdd.False {
-			sp.End(telemetry.Int("iter", iter), telemetry.Int("z_nodes", 0))
+			endHull(m, sp, iter, z)
 			return Result{Fair: z, Iterations: iter}
 		}
 		// (2) Büchi conditions: must be able to revisit each set
@@ -98,7 +98,7 @@ func FairStates(s sys.System, fc *fair.Constraints, restrict bdd.Ref) Result {
 				}
 				z = m.And(z, EU(s, z, target))
 				if z == bdd.False {
-					sp.End(telemetry.Int("iter", iter), telemetry.Int("z_nodes", 0))
+					endHull(m, sp, iter, z)
 					return Result{Fair: z, Iterations: iter}
 				}
 			}
@@ -122,17 +122,12 @@ func FairStates(s sys.System, fc *fair.Constraints, restrict bdd.Ref) Result {
 				canReachU := EU(s, z, uset)
 				z = m.And(z, m.Or(m.Not(lset), canReachU))
 				if z == bdd.False {
-					sp.End(telemetry.Int("iter", iter), telemetry.Int("z_nodes", 0))
+					endHull(m, sp, iter, z)
 					return Result{Fair: z, Iterations: iter}
 				}
 			}
 		}
-		if t.Traced() {
-			sp.End(telemetry.Int("iter", iter),
-				telemetry.Int("z_nodes", m.NodeCount(z)))
-		} else {
-			sp.End(telemetry.Int("iter", iter))
-		}
+		endHull(m, sp, iter, z)
 		if z == old {
 			return Result{Fair: z, Iterations: iter}
 		}
@@ -160,4 +155,19 @@ func Check(s sys.System, fc *fair.Constraints) (reached, fairHull bdd.Ref, itera
 func EarlyFairnessFailure(s sys.System, fc *fair.Constraints, subset bdd.Ref) bool {
 	r := FairStates(s, fc, subset)
 	return r.Fair != bdd.False
+}
+
+// endHull ends one hull-iteration span. The z_nodes field costs a BDD
+// traversal, so only a scope with a JSONL tracer receives it (an empty
+// hull reports 0).
+func endHull(m *bdd.Manager, sp telemetry.Span, iter int, z bdd.Ref) {
+	if !m.Telemetry().Traced() {
+		sp.End(telemetry.Int("iter", iter))
+		return
+	}
+	zNodes := 0
+	if z != bdd.False {
+		zNodes = m.NodeCount(z)
+	}
+	sp.End(telemetry.Int("iter", iter), telemetry.Int("z_nodes", zNodes))
 }

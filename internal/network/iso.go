@@ -10,8 +10,10 @@ package network
 // whose cones are isomorphic, compiles the cluster set once for a
 // representative per class, and instantiates every other replica by BDD
 // variable permutation (bdd.Permuter, near-free against a warm memo).
-// One global quantification schedule is then compiled over all
-// instantiated clusters plus the non-replicated remainder.
+// When the replication is worth exploiting (IsoWorthwhile), the
+// instantiated clusters plus the non-replicated remainder are merged
+// once more across replicas under the cluster limit, and one global
+// quantification schedule is then compiled over the result.
 //
 // Detection is purely structural and order-independent, so it is done
 // once per network; the compiled plans are epoch-stamped like the
@@ -67,18 +69,28 @@ type isoState struct {
 	shared      []int // conjunct indices owned by no class member
 	sharedLocal []int
 
-	built    bool
-	epoch    int
-	clusters []quant.Conjunct // every instantiated cluster; refs held
-	imgPlan  *quant.CompiledPlan
-	prePlan  *quant.CompiledPlan
+	built           bool
+	epoch           int
+	clusters        []quant.Conjunct // the clusters the plans replay; refs held
+	maxClusterNodes int              // node count of the largest cluster
+	imgPlan         *quant.CompiledPlan
+	prePlan         *quant.CompiledPlan
 }
 
-// IsoSummary reports detection results for stats output.
+// IsoSummary reports detection results and, once the iso plans are
+// compiled, their shape for stats output.
 type IsoSummary struct {
 	Classes    int   // equivalence classes with ≥2 members
 	Replicated int   // latches covered by those classes
 	Sizes      []int // member count per class, largest first
+
+	// Planned reports whether the plans below have been compiled; the
+	// remaining fields are zero until then.
+	Planned         bool
+	Clusters        int // clusters the plans replay (after the cross-replica merge)
+	MaxClusterNodes int // node count of the largest of them
+	ImageSteps      int
+	PreimageSteps   int
 }
 
 // coneOf computes the canonical cone of latch li: breadth-first from
@@ -461,8 +473,8 @@ func (n *Network) ensureIsoDetect() *isoState {
 // ensureIsoPlans compiles (or, after a reorder session, recompiles) the
 // iso pipeline: per class, cluster the representative's conjuncts once
 // and instantiate every replica by permutation; cluster the shared pool
-// normally; then compile one global quantification schedule per
-// direction over all instantiated clusters.
+// normally; merge the lot across replicas when IsoWorthwhile; then
+// compile one global quantification schedule per direction.
 func (n *Network) ensureIsoPlans() *isoState {
 	if n.iso == nil {
 		n.iso = &isoState{}
@@ -487,6 +499,32 @@ func (n *Network) ensureIsoPlans() *isoState {
 		}
 		st.clusters = nil
 	}
+	all := n.instantiateIsoClusters()
+	if n.IsoWorthwhile() {
+		all = n.mergeIsoClusters(all)
+	}
+	st.maxClusterNodes = 0
+	for _, c := range all {
+		m.IncRef(c.F)
+		st.maxClusterNodes = max(st.maxClusterNodes, m.NodeCount(c.F))
+	}
+	imgQ := append(append([]int(nil), n.nonState...), n.psBits...)
+	preQ := append(append([]int(nil), n.nonState...), n.nsBits...)
+	st.imgPlan = quant.Compile(m, all, n.psBits, imgQ)
+	st.prePlan = quant.Compile(m, all, n.nsBits, preQ)
+	st.imgPlan.Retain(m)
+	st.prePlan.Retain(m)
+	st.clusters = all
+	st.built = true
+	st.epoch = epoch
+	return st
+}
+
+// instantiateIsoClusters clusters each class's representative once,
+// instantiates every other replica by permutation, and clusters the
+// shared pool on its own. The result holds no references.
+func (n *Network) instantiateIsoClusters() []quant.Conjunct {
+	m, st := n.mgr, n.iso
 	t := m.Telemetry()
 	var all []quant.Conjunct
 	for ci, cls := range st.classes {
@@ -524,19 +562,28 @@ func (n *Network) ensureIsoPlans() *isoState {
 		}
 		all = append(all, quant.Clusters(m, sharedConjs, st.sharedLocal, n.clusterLimit)...)
 	}
-	for _, c := range all {
-		m.IncRef(c.F)
+	return all
+}
+
+// mergeIsoClusters merges the instantiated clusters across replicas and
+// the shared pool under the cluster limit. Per-class clustering never
+// crosses a replica boundary, so without this a ring of N cells replays
+// one AndExists per cell cluster, each sweeping the whole running
+// product. The whole list is merged at once: merging only the replica
+// clusters while quantifying every non-state variable would eliminate
+// inputs that shared-pool clusters still read.
+func (n *Network) mergeIsoClusters(all []quant.Conjunct) []quant.Conjunct {
+	t := n.mgr.Telemetry()
+	var sp telemetry.Span
+	if t != nil {
+		sp = t.Start("network.iso.merge")
 	}
-	imgQ := append(append([]int(nil), n.nonState...), n.psBits...)
-	preQ := append(append([]int(nil), n.nonState...), n.nsBits...)
-	st.imgPlan = quant.Compile(m, all, n.psBits, imgQ)
-	st.prePlan = quant.Compile(m, all, n.nsBits, preQ)
-	st.imgPlan.Retain(m)
-	st.prePlan.Retain(m)
-	st.clusters = all
-	st.built = true
-	st.epoch = epoch
-	return st
+	merged := quant.Clusters(n.mgr, all, n.nonState, n.clusterLimit)
+	if t != nil {
+		sp.End(telemetry.Int("clusters_before", len(all)),
+			telemetry.Int("clusters_after", len(merged)))
+	}
+	return merged
 }
 
 func mapSupport(sup, sigma []int) []int {
@@ -581,10 +628,11 @@ func (n *Network) IsoPreimagePlan() *quant.CompiledPlan {
 }
 
 // ImageClusters returns the clustered partitioned transition relation
-// the default image engine replays: the iso-instantiated clusters when
-// IsoWorthwhile, the plain clusters (ClusterConjuncts) otherwise. On a
-// replicated design this is far cheaper to compile than plain
-// clustering, which merges every replica's conjuncts from scratch.
+// the default image engine replays: the iso-instantiated clusters,
+// merged across replicas, when IsoWorthwhile, the plain clusters
+// (ClusterConjuncts) otherwise. On a replicated design this is far
+// cheaper to compile than plain clustering, which merges every
+// replica's conjuncts from scratch.
 // The same caveats as ClusterConjuncts apply.
 func (n *Network) ImageClusters() []quant.Conjunct {
 	if n.IsoWorthwhile() {
@@ -594,7 +642,8 @@ func (n *Network) ImageClusters() []quant.Conjunct {
 }
 
 // IsoSummaryInfo reports detection results (classes sorted largest
-// first) for stats and CLI output.
+// first) and the shape of the last compiled iso plans for stats and CLI
+// output. It compiles nothing.
 func (n *Network) IsoSummaryInfo() IsoSummary {
 	st := n.ensureIsoDetect()
 	s := IsoSummary{Classes: len(st.classes)}
@@ -603,6 +652,13 @@ func (n *Network) IsoSummaryInfo() IsoSummary {
 		s.Sizes = append(s.Sizes, len(cls.Latches))
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(s.Sizes)))
+	if st.built {
+		s.Planned = true
+		s.Clusters = len(st.clusters)
+		s.MaxClusterNodes = st.maxClusterNodes
+		s.ImageSteps = len(st.imgPlan.Steps)
+		s.PreimageSteps = len(st.prePlan.Steps)
+	}
 	return s
 }
 

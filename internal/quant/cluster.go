@@ -21,12 +21,14 @@ import (
 const DefaultClusterLimit = 5000
 
 // Clusters greedily merges conjuncts into clusters whose BDDs stay under
-// limit nodes. The merge order is the consumption order of the MinWidth
+// limit nodes (a single conjunct larger than limit stays a cluster of
+// its own). The merge order is the consumption order of the MinWidth
 // schedule over preQuantify (the variables every later quantification
 // will eliminate regardless of direction — the non-state variables, for
 // a transition relation). Any preQuantify variable whose occurrences all
 // fall inside a single cluster is existentially quantified out of that
-// cluster right here, so per-image replays never see it again.
+// cluster right here (unless that would grow a merged cluster past
+// limit), so per-image replays never see it again.
 func Clusters(m *bdd.Manager, conjuncts []Conjunct, preQuantify []int, limit int) []Conjunct {
 	if limit <= 0 {
 		limit = DefaultClusterLimit
@@ -94,9 +96,15 @@ func Clusters(m *bdd.Manager, conjuncts []Conjunct, preQuantify []int, limit int
 		sort.Ints(local)
 		f := sp.f
 		if len(local) > 0 {
-			f = m.Exists(f, m.Cube(local))
-			for _, v := range local {
-				delete(sup, v)
+			// Quantification can grow a BDD. A merged cluster that would
+			// outgrow the limit keeps its local variables, and its plan
+			// step quantifies them instead.
+			q := m.Exists(f, m.Cube(local))
+			if sp.end == sp.start || m.NodeCount(q) <= limit {
+				f = q
+				for _, v := range local {
+					delete(sup, v)
+				}
 			}
 		}
 		support := make([]int, 0, len(sup))

@@ -168,15 +168,23 @@ func pickMinWidthItem(items []*planItem, qset map[int]bool) (int, []int) {
 		vars = append(vars, v)
 	}
 	sort.Ints(vars)
+	union := map[int]bool{}
 	for _, v := range vars {
-		union := map[int]bool{}
-		for _, i := range occ[v] {
-			for w := range items[i].support {
-				union[w] = true
+		// A variable only one item mentions (the common case) needs no
+		// union: the width is that item's support.
+		members := occ[v]
+		width := len(items[members[0]].support)
+		if len(members) > 1 {
+			clear(union)
+			for _, i := range members {
+				for w := range items[i].support {
+					union[w] = true
+				}
 			}
+			width = len(union)
 		}
-		if len(union) < bestWidth {
-			bestVar, bestWidth, bestMembers = v, len(union), occ[v]
+		if width < bestWidth {
+			bestVar, bestWidth, bestMembers = v, width, members
 		}
 	}
 	return bestVar, bestMembers
