@@ -104,8 +104,8 @@ const (
 )
 
 // chunk stores one block of nodes plus their external reference counts
-// (kept out of node so the reorder session can keep keying its maps on
-// the bare triple).
+// (kept out of node so a node is exactly the triple the unique table
+// compares, 12 bytes).
 type chunk struct {
 	nodes [chunkSize]node
 	refs  [chunkSize]int32
@@ -447,27 +447,13 @@ func (m *Manager) mkNode(level int32, low, high Ref) Ref {
 		panic("bdd: operation during an active reorder session")
 	}
 	vid := m.level2var[level]
-	hh := hash3(uint64(vid), uint64(low), uint64(high)) & m.tableMask
-	for {
-		idx := m.table[hh]
-		if idx == 0 {
-			break
-		}
-		n := m.node(Ref(idx - 1))
-		if n.varID == vid && n.low == low && n.high == high {
-			return Ref(idx - 1)
-		}
-		hh = (hh + 1) & m.tableMask
+	r, hh, ok := m.tableFind(vid, low, high)
+	if ok {
+		return r
 	}
-	// Not found: allocate. The probe loop left hh at an empty slot for
-	// this key, so insert there directly instead of rehashing.
-	r := m.allocSlot()
+	r = m.allocSlot()
 	*m.node(r) = node{varID: vid, low: low, high: high}
-	m.table[hh] = int32(r) + 1
-	m.tableCount++
-	if 10*m.tableCount > 7*len(m.table) {
-		m.resizeTable(2 * len(m.table))
-	}
+	m.tableFill(hh, r)
 	m.afterAlloc()
 	return r
 }
@@ -512,18 +498,72 @@ func (m *Manager) afterAlloc() {
 	}
 }
 
-// tableInsert re-indexes node r during a rebuild (GC, reorder Close).
-func (m *Manager) tableInsert(r Ref) {
-	n := m.node(r)
-	hh := hash3(uint64(n.varID), uint64(n.low), uint64(n.high)) & m.tableMask
-	for m.table[hh] != 0 {
+// homeSlot is the unique-table slot a probe for n's triple starts at.
+func (m *Manager) homeSlot(n *node) uint64 {
+	return hash3(uint64(n.varID), uint64(n.low), uint64(n.high)) & m.tableMask
+}
+
+// tableFind probes the unique table for the triple (vid, low, high). It
+// returns the stored node when there is one; otherwise ok is false and
+// hh is the empty slot the probe ended on, where the triple belongs
+// (tableFill stores it there without probing again).
+func (m *Manager) tableFind(vid int32, low, high Ref) (r Ref, hh uint64, ok bool) {
+	hh = hash3(uint64(vid), uint64(low), uint64(high)) & m.tableMask
+	for {
+		idx := m.table[hh]
+		if idx == 0 {
+			return 0, hh, false
+		}
+		n := m.node(Ref(idx - 1))
+		if n.varID == vid && n.low == low && n.high == high {
+			return Ref(idx - 1), hh, true
+		}
 		hh = (hh + 1) & m.tableMask
 	}
+}
+
+// tableFill stores r in the empty table slot hh and grows the table at
+// 70% load.
+func (m *Manager) tableFill(hh uint64, r Ref) {
 	m.table[hh] = int32(r) + 1
 	m.tableCount++
 	if 10*m.tableCount > 7*len(m.table) {
 		m.resizeTable(2 * len(m.table))
 	}
+}
+
+// tableInsert indexes node r, whose triple the table does not hold yet
+// (GC rebuilds, reorder rewrites).
+func (m *Manager) tableInsert(r Ref) {
+	hh := m.homeSlot(m.node(r))
+	for m.table[hh] != 0 {
+		hh = (hh + 1) & m.tableMask
+	}
+	m.tableFill(hh, r)
+}
+
+// tableDelete removes node r, indexed under its current triple, by
+// backward-shift deletion: each later entry of the probe run moves back
+// into the hole when the hole lies on its own probe path (between its
+// home slot and where it sits), so every remaining entry stays reachable
+// from its home with no tombstones, and tableCount stays exact.
+func (m *Manager) tableDelete(r Ref) {
+	mask := m.tableMask
+	i := m.homeSlot(m.node(r))
+	for m.table[i] != int32(r)+1 {
+		if m.table[i] == 0 {
+			panic(fmt.Sprintf("bdd: node %d missing from the unique table", r))
+		}
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; m.table[j] != 0; j = (j + 1) & mask {
+		if k := m.homeSlot(m.node(Ref(m.table[j] - 1))); (j-k)&mask >= (j-i)&mask {
+			m.table[i] = m.table[j]
+			i = j
+		}
+	}
+	m.table[i] = 0
+	m.tableCount--
 }
 
 // resizeTable re-probes every entry of the unique table into a table of
@@ -536,8 +576,7 @@ func (m *Manager) resizeTable(size int) {
 		if idx == 0 {
 			continue
 		}
-		nd := m.node(Ref(idx - 1))
-		h := hash3(uint64(nd.varID), uint64(nd.low), uint64(nd.high)) & m.tableMask
+		h := m.homeSlot(m.node(Ref(idx - 1)))
 		for m.table[h] != 0 {
 			h = (h + 1) & m.tableMask
 		}

@@ -35,17 +35,21 @@ package bdd
 // independent of the populations. MoveBlock extends that to whole
 // non-interacting spans in a single order-map rotation.
 //
-// During a session the unique table is stale (Close rebuilds
-// it), so no mk/mkNode may run; the session keeps its own exact index
-// instead — a map keyed on the stored triple (varID, low, high), which
-// relabel-free moves never touch. A rewritten node's new (v, G0, G1)
-// key cannot collide with a stale (v, b0, b1) one: a rewritten node
-// keeps its dependence on u, so at least one of G0, G1 is an inner
-// u-node — a slot the stale keys, whose children all lie strictly below
-// the pair, cannot mention at that position. Per-variable node
-// populations are maintained incrementally in bucket lists, which
-// doubles as the level-size signal sifting uses (a variable occupies
-// exactly one level).
+// The unique table stays exact through a session, so Close has nothing
+// to rebuild. It keys on the stored triple (varID, low, high), and swaps
+// never change a variable ID, so a node that keeps its triple keeps its
+// entry and relabel-free moves touch no entry at all. A rewritten node
+// is deleted under its old triple (backward-shift deletion, no
+// tombstones) and re-inserted under its new one; swapMk probes and fills
+// the table exactly as mk does; a released node leaves it. No two live
+// nodes ever share a key. A rewritten node keeps its dependence on u, so
+// at least one of G0, G1 is an inner u-node, which no pre-existing
+// v-node (children strictly below the pair) has as a child. And the
+// inner keys (u, F0x, F1x) have no v-child, so they never name a u-node
+// still waiting to be rewritten. Per-variable node populations are
+// maintained incrementally in bucket lists, which doubles as the
+// level-size signal sifting uses (a variable occupies exactly one
+// level).
 //
 // StartReorder also computes the variable interaction matrix: bit v of
 // row u is set when u and v co-occur in the support of some live
@@ -58,7 +62,7 @@ package bdd
 // are function-preserving, releases only drop whole functions), so the
 // matrix stays valid for the life of the session. When the two levels
 // being swapped do not interact, Swap degenerates to relabeling
-// the two buckets: no snapshot, no map traffic, no cofactoring, no
+// the two buckets: no snapshot, no table traffic, no cofactoring, no
 // allocation or release — the driver counts these as interaction skips.
 // Operation caches are function-keyed, so surviving entries stay
 // semantically correct across swaps; the only invalid entries are those
@@ -116,9 +120,6 @@ type ReorderSession struct {
 	free    []uint64 // slots currently on the free list
 	tainted []uint64 // slots freed at any point during the session (sticky across reuse)
 
-	// uniq is the session's unique index: every live triple.
-	uniq map[node]Ref
-
 	// imat is the variable interaction matrix (numVars rows of imatW
 	// words): bit v of row u set iff u,v co-occur in a live support.
 	// useInter gates the fast-path swap (ablation switch).
@@ -163,10 +164,6 @@ func (m *Manager) StartReorder() *ReorderSession {
 		free:    make([]uint64, (alloc+63)/64),
 		tainted: make([]uint64, (alloc+63)/64),
 		bucket:  make([][]Ref, m.numVars),
-		// Size the map by the live count, not the arena: after the GC a
-		// sifting driver runs first, live is typically a small fraction
-		// of alloc, and map presizing is O(capacity).
-		uniq: make(map[node]Ref, m.Size()+m.Size()/4),
 	}
 	for _, f := range m.free {
 		s.free[f>>6] |= 1 << (uint(f) & 63)
@@ -180,7 +177,6 @@ func (m *Manager) StartReorder() *ReorderSession {
 		s.ref[i] += *m.rcPtr(r)
 		s.ref[n.low]++
 		s.ref[regular(n.high)]++
-		s.uniq[n] = r
 		s.addToBucket(r, int(n.varID))
 	}
 	s.buildInteractions(alloc)
@@ -352,11 +348,9 @@ func (s *ReorderSession) Swap(level int) {
 		g1 := s.swapMk(u, f01, f11)
 		s.ref[regular(g0)]++
 		s.ref[regular(g1)]++
-		if s.uniq[n] == f {
-			delete(s.uniq, n)
-		}
+		m.tableDelete(f)
 		*np = node{varID: v, low: g0, high: g1}
-		s.uniq[*np] = f
+		m.tableInsert(f)
 		s.removeFromBucket(f, int(u))
 		s.addToBucket(f, int(v))
 		if f0 != 0 {
@@ -438,7 +432,9 @@ func (s *ReorderSession) MoveBlock(level, width, span int) {
 }
 
 // swapMk is the session's mk: reduction, canonical-low re-rooting, and
-// find-or-allocate against the session's unique index.
+// find-or-allocate against the unique table, with the session's
+// reference and bucket bookkeeping in place of mk's allocation
+// accounting.
 func (s *ReorderSession) swapMk(varID int32, low, high Ref) Ref {
 	if low == high {
 		return low
@@ -451,11 +447,10 @@ func (s *ReorderSession) swapMk(varID int32, low, high Ref) Ref {
 
 func (s *ReorderSession) swapMkNode(varID int32, low, high Ref) Ref {
 	m := s.m
-	key := node{varID: varID, low: low, high: high}
-	if r, ok := s.uniq[key]; ok {
+	r, hh, ok := m.tableFind(varID, low, high)
+	if ok {
 		return r
 	}
-	var r Ref
 	if top := len(m.free); top > 0 {
 		r = m.free[top-1]
 		m.free = m.free[:top-1]
@@ -472,10 +467,10 @@ func (s *ReorderSession) swapMkNode(varID int32, low, high Ref) Ref {
 		}
 		m.peakNodes = max(m.peakNodes, m.nodeCap)
 	}
-	*m.node(r) = key
+	*m.node(r) = node{varID: varID, low: low, high: high}
 	s.ref[low]++
 	s.ref[regular(high)]++
-	s.uniq[key] = r
+	m.tableFill(hh, r)
 	s.addToBucket(r, int(varID))
 	m.peakLive = max(m.peakLive, m.Size())
 	return r
@@ -490,9 +485,7 @@ func (s *ReorderSession) release(g Ref) {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		n := *m.node(r)
-		if s.uniq[n] == r {
-			delete(s.uniq, n)
-		}
+		m.tableDelete(r)
 		s.removeFromBucket(r, int(n.varID))
 		s.free[r>>6] |= 1 << (uint(r) & 63)
 		s.tainted[r>>6] |= 1 << (uint(r) & 63)
@@ -509,24 +502,16 @@ func (s *ReorderSession) release(g Ref) {
 	s.relStack = stack[:0]
 }
 
-// Close ends the session: it rebuilds the unique table for the new
-// order, sweeps operation-cache entries that name a slot freed during
-// the session, and records the reorder statistics. The manager is fully
-// operational again afterwards.
+// Close ends the session: it sweeps operation-cache entries that name a
+// slot freed during the session and records the reorder statistics. The
+// unique table is already exact, so the manager is fully operational
+// again afterwards.
 func (s *ReorderSession) Close() {
 	m := s.m
 	if m.session != s {
 		panic("bdd: Close on an inactive reorder session")
 	}
 	m.session = nil
-	clear(m.table)
-	m.tableCount = 0
-	for i := 1; i < m.nodeCap; i++ {
-		r := Ref(i)
-		if !s.isFree(r) {
-			m.tableInsert(r)
-		}
-	}
 	m.sweepCachesTainted(s.tainted)
 	m.statReorders++
 	m.statReorderSwaps += uint64(s.swaps)
@@ -726,8 +711,8 @@ func (m *Manager) MaybeReorder() bool {
 // canonical-low edges, strictly increasing levels, no freed children or
 // duplicate triples, exact unique-table membership, and no operation
 // cache entry naming a freed slot. It exists for tests and debugging;
-// it is O(nodes + cache entries). The sift driver may call it
-// mid-session.
+// it is O(nodes + cache entries). It may also run between the swaps of
+// a session, where the unique table is exact too.
 func (m *Manager) CheckInvariants() error {
 	free := make(map[Ref]bool, len(m.free))
 	for _, f := range m.free {
@@ -758,21 +743,19 @@ func (m *Manager) CheckInvariants() error {
 			return fmt.Errorf("nodes %d and %d store the same triple", prev, i)
 		}
 		seen[n] = r
-		if m.session == nil {
-			hh := hash3(uint64(n.varID), uint64(n.low), uint64(n.high)) & m.tableMask
-			for {
-				idx := m.table[hh]
-				if idx == 0 {
-					return fmt.Errorf("node %d missing from the unique table", i)
-				}
-				if Ref(idx-1) == r {
-					break
-				}
-				hh = (hh + 1) & m.tableMask
-			}
+		if found, _, ok := m.tableFind(n.varID, n.low, n.high); !ok || found != r {
+			return fmt.Errorf("node %d missing from the unique table", i)
 		}
 	}
-	bad := func(f Ref) bool { return free[regular(f)] }
+	if m.tableCount != len(seen) {
+		return fmt.Errorf("unique table counts %d entries for %d nodes", m.tableCount, len(seen))
+	}
+	bad := func(f Ref) bool {
+		// Mid-session, entries naming a slot the session freed are
+		// expected: Close sweeps them.
+		i := regular(f)
+		return free[i] && (m.session == nil || m.session.tainted[i>>6]&(1<<(uint(i)&63)) == 0)
+	}
 	for i := range m.ite {
 		e := &m.ite[i]
 		if e.f != 0 && (bad(e.f) || bad(e.g) || bad(e.h) || bad(e.res)) {

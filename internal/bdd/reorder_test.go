@@ -357,3 +357,90 @@ func TestAutoReorderTrigger(t *testing.T) {
 		t.Fatal("ReorderOff did not disarm the trigger")
 	}
 }
+
+// TestSessionKeepsTableExact drives random Swap/MoveBlock sequences over
+// a random forest (protected roots plus garbage) on a deliberately small
+// unique table, so probe runs wrap around the table's end and the
+// session's own allocations resize it. CheckInvariants, which covers
+// exact table membership and the entry count, runs after every batch.
+// After Close the table must need no rebuild: tableCount equals the
+// allocated non-terminal slots and mk finds every stored triple.
+func TestSessionKeepsTableExact(t *testing.T) {
+	const n = 10
+	resized, wrapped := false, false
+	for seed := uint64(1); seed <= 8; seed++ {
+		m := New()
+		m.resizeTable(16)
+		vars := m.NewVars(n)
+		// Two variable pools, so some adjacent pairs do not interact
+		// and MoveBlock gets exercised alongside full swaps.
+		pool := append(buildRandomRoots(m, vars[:6], 40, seed), buildRandomRoots(m, vars[6:], 25, seed+100)...)
+		var roots []Ref
+		var want [][]bool
+		for i, f := range pool {
+			if i%3 == 0 {
+				roots = append(roots, m.IncRef(f))
+				want = append(want, evalAll(m, f, n))
+			}
+		}
+		// Open the session just under the growth threshold.
+		size := 16
+		for 10*m.tableCount > 7*size {
+			size *= 2
+		}
+		m.resizeTable(size)
+
+		rng := seed
+		next := func(k int) int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int(rng>>33) % k
+		}
+		s := m.StartReorder()
+		for batch := 0; batch < 40; batch++ {
+			for k := 0; k < 4; k++ {
+				l := next(n - 1)
+				if next(3) == 0 && !s.Interacts(m.VarAtLevel(l), m.VarAtLevel(l+1)) {
+					s.MoveBlock(l, 1, 1)
+				} else {
+					s.Swap(l)
+				}
+			}
+			checkKernelInvariants(t, m)
+			resized = resized || len(m.table) > size
+			for i, idx := range m.table {
+				if idx != 0 && m.homeSlot(m.node(Ref(idx-1))) > uint64(i) {
+					wrapped = true
+				}
+			}
+		}
+		s.Close()
+		checkKernelInvariants(t, m)
+		free := map[Ref]bool{}
+		for _, f := range m.free {
+			free[f] = true
+		}
+		if nodes := m.nodeCap - 1 - len(m.free); m.tableCount != nodes {
+			t.Fatalf("seed %d: tableCount %d after Close, %d allocated nodes", seed, m.tableCount, nodes)
+		}
+		for i := 1; i < m.nodeCap; i++ {
+			if free[Ref(i)] {
+				continue
+			}
+			nd := *m.node(Ref(i))
+			if got := m.mk(m.var2level[nd.varID], nd.low, nd.high); got != Ref(i) {
+				t.Fatalf("seed %d: mk on node %d's triple returned %d", seed, i, got)
+			}
+		}
+		for i, f := range roots {
+			got := evalAll(m, f, n)
+			for a := range got {
+				if got[a] != want[i][a] {
+					t.Fatalf("seed %d: root %d changed at assignment %d", seed, i, a)
+				}
+			}
+		}
+	}
+	if !resized || !wrapped {
+		t.Fatalf("coverage lost: mid-session resize %v, wrapped probe run %v", resized, wrapped)
+	}
+}

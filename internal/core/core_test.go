@@ -333,3 +333,60 @@ func matchReorderOff(t *testing.T, opts Options, how string) {
 		}
 	}
 }
+
+// TestSiftKeepsFairnessLive pins the fix for wrong verdicts after
+// sifting: the design fairness constraints compiled from the PIF (paper
+// §5.1) are long-lived Refs, and a sift's opening GC used to free them
+// for the session's swaps to reuse, so later fair-EG computations read
+// a different function (dcnew's deliver_live FAILed). Every bundled
+// design, under auto sifting and under a manual sift right after
+// loading, must give reorder-off's exact state count and verdicts, and
+// leave a forest that passes the kernel's invariant check.
+func TestSiftKeepsFairnessLive(t *testing.T) {
+	type run struct {
+		states   string
+		verdicts map[string]bool
+	}
+	verify := func(name, how string, opts Options, sift bool) run {
+		t.Helper()
+		w := loadDesign(t, name, opts)
+		if sift {
+			w.SiftNow()
+		}
+		r := run{states: w.ReachableStatesExact().String(), verdicts: map[string]bool{}}
+		for _, p := range w.VerifyAll() {
+			if p.Err != nil {
+				t.Fatalf("%s %s: %s: %v", name, how, p.Name, p.Err)
+			}
+			r.verdicts[string(p.Kind)+"/"+p.Name] = p.Pass
+		}
+		if err := w.Net.Manager().CheckInvariants(); err != nil {
+			t.Fatalf("%s %s: after VerifyAll: %v", name, how, err)
+		}
+		return r
+	}
+	for _, name := range designs.Names() {
+		if name == "mdlc2" && testing.Short() {
+			continue
+		}
+		want := verify(name, "off", Options{}, false)
+		for _, c := range []struct {
+			how  string
+			opts Options
+			sift bool
+		}{
+			{"auto", Options{Reorder: "auto"}, false},
+			{"manual+sift", Options{Reorder: "manual"}, true},
+		} {
+			got := verify(name, c.how, c.opts, c.sift)
+			if got.states != want.states {
+				t.Errorf("%s %s: %s states, %s with reordering off", name, c.how, got.states, want.states)
+			}
+			for k, v := range want.verdicts {
+				if g, ok := got.verdicts[k]; !ok || g != v {
+					t.Errorf("%s %s: %s pass=%v, %v with reordering off", name, c.how, k, g, v)
+				}
+			}
+		}
+	}
+}

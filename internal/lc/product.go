@@ -234,5 +234,11 @@ func CompileFairness(n *network.Network, specs []pif.FairSpec) (*fair.Constraint
 			return nil, fmt.Errorf("fairness %d: unknown kind", i)
 		}
 	}
+	// The constraints live as long as the workspace that holds them, and
+	// fixpoints that read them contain GC and reorder safe points: protect
+	// them, or a sift's opening GC frees their nodes for swaps to reuse.
+	for _, b := range fc.Buchi {
+		m.IncRef(b.Set)
+	}
 	return fc, nil
 }

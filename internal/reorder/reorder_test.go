@@ -243,3 +243,52 @@ func TestSiftRandomized(t *testing.T) {
 		}
 	}
 }
+
+// siftForest builds BenchmarkSiftSession's fixed forest: count achilles
+// functions x_a1·y_b1 ∨ … ∨ x_ak·y_bk, each over 2k variables drawn
+// (seeded) from vars with partners k positions apart in the draw. Each
+// is exponential under an order that separates its partners, and no
+// single order suits them all, so a sift has real work at most levels.
+func siftForest(m *bdd.Manager, vars []bdd.Ref, k, count int) []bdd.Ref {
+	s := uint64(7)
+	next := func() uint64 {
+		s = s*6364136223846793005 + 1442695040888963407
+		return s >> 33
+	}
+	perm := make([]int, len(vars))
+	for i := range perm {
+		perm[i] = i
+	}
+	roots := make([]bdd.Ref, count)
+	for r := range roots {
+		for i := len(perm) - 1; i > 0; i-- {
+			j := int(next() % uint64(i+1))
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		f := bdd.False
+		for i := 0; i < k; i++ {
+			f = m.Or(f, m.And(vars[perm[i]], vars[perm[i+k]]))
+		}
+		roots[r] = m.IncRef(f)
+	}
+	return roots
+}
+
+// BenchmarkSiftSession times one converging Sift over siftForest and
+// reports the session layer's cost per adjacent-level swap, the number
+// the kernel's swap, unique-table and release paths decide.
+func BenchmarkSiftSession(b *testing.B) {
+	var swaps int
+	var ns int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := bdd.New()
+		siftForest(m, m.NewVars(64), 9, 40)
+		b.StartTimer()
+		res := Sift(m, Options{Converge: true})
+		swaps += res.Swaps
+		ns += m.Stats().ReorderTime.Nanoseconds()
+	}
+	b.ReportMetric(float64(ns)/float64(swaps), "ns/swap")
+	b.ReportMetric(float64(swaps)/float64(b.N), "swaps/op")
+}
