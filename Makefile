@@ -76,27 +76,22 @@ bench-server:
 
 # One cold iteration of accelerated auto sifting on scrambled mdlc2:
 # exercises the interaction-matrix fast path and the lower-bound abort
-# end to end per commit without paying for the off and auto-naive
-# contest rows.
+# end to end per commit without paying for the off contest rows.
 bench-reorder-smoke:
 	$(GO) test -bench='BenchmarkReorder/mdlc2/auto$$' -benchtime=1x -run='^$$' .
 
-# Dynamic-reordering contest: reachability with sifting off,
-# accelerated auto sifting, and auto-naive (the plain Rudell sifter —
-# every acceleration disabled), plus on mdlc2 three single-acceleration
-# ablations, recorded to BENCH_reorder.json. scheduler-8 and mdlc2 run
-# from a scrambled (appended) variable order; philos-16 runs from its
-# default order (the appended order is intractable with sifting off or
-# on) and has no off row. The slow configurations are the point — the
-# off rows show what the bad order costs, the auto-naive rows what the
-# accelerations save;
-# benchjson derives sift-speedup-vs-naive, swaps-saved-% and
-# speedup-vs-off onto the auto rows. bench/reorder_prechange.txt holds
-# raw rows replayed once from the revision before the fast-reorder work
-# (level-keyed nodes, no interaction matrix, no trigger back-off) and is
-# spliced into the stream so sift-speedup-vs-prechange lands in the JSON
-# next to the live measurements; regenerate it from that revision if the
-# reference hardware changes.
+# Dynamic-reordering contest: reachability with sifting off and with
+# auto sifting, recorded to BENCH_reorder.json. scheduler-8 and mdlc2
+# run from a scrambled (appended) variable order; philos-16 runs from
+# its default order (the appended order is intractable with sifting off
+# or on) and has no off row. The off rows show what the bad order costs;
+# benchjson derives speedup-vs-off onto the auto rows.
+# bench/reorder_prechange.txt holds raw rows replayed once from the
+# revision before the fast-reorder work (level-keyed nodes, no
+# interaction matrix, no trigger back-off) and is spliced into the
+# stream so sift-speedup-vs-prechange lands in the JSON next to the live
+# measurements; regenerate it from that revision if the reference
+# hardware changes.
 bench-reorder:
 	($(GO) test -bench='BenchmarkReorder' -benchtime=1x -timeout=90m -run='^$$' . \
 		| tee /dev/stderr; \

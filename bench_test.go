@@ -280,7 +280,7 @@ func BenchmarkVarOrder(b *testing.B) {
 
 // Ablation F (paper §8 item 4): reachability with the monolithic
 // product transition relation versus the partitioned relation that is
-// never multiplied out.
+// never multiplied out, replayed as the clustered image plans.
 func BenchmarkPartitionedTR(b *testing.B) {
 	d, err := designs.Get("scheduler")
 	if err != nil {
@@ -303,11 +303,11 @@ func BenchmarkPartitionedTR(b *testing.B) {
 			}
 		}
 	})
-	b.Run("partitioned", func(b *testing.B) {
+	b.Run("clustered", func(b *testing.B) {
 		n := build(true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res := reach.Forward(n, reach.Options{Partitioned: true})
+			res := reach.Forward(n, reach.Options{Engine: reach.EngineClustered})
 			if !res.Converged {
 				b.Fatal("diverged")
 			}
@@ -315,9 +315,8 @@ func BenchmarkPartitionedTR(b *testing.B) {
 	})
 }
 
-// BenchmarkImage compares the three image engines — monolithic T,
-// per-conjunct partitioned, and clustered with the precompiled
-// quantification schedule — on full forward reachability plus a
+// BenchmarkImage compares the monolithic T with the clustered engine's
+// precompiled quantification schedule on full forward reachability plus a
 // preimage sweep (the Image/Preimage alternation is what used to thrash
 // the cube-keyed quantifier caches). Reports peak live BDD nodes and
 // the combined quantifier/and-exists cache hit rate.
@@ -327,7 +326,6 @@ func BenchmarkImage(b *testing.B) {
 		kind  reach.EngineKind
 	}{
 		{"monolithic", reach.EngineMonolithic},
-		{"partitioned", reach.EnginePartitioned},
 		{"clustered", reach.EngineClustered},
 	}
 	for _, name := range []string{"gigamax", "scheduler", "mdlc2"} {
@@ -501,7 +499,7 @@ func verilogToNetwork(src, top string, skipMono bool) (*network.Network, error) 
 	if !skipMono {
 		return w.Net, nil
 	}
-	// rebuild with the partitioned-only option
+	// rebuild without ever multiplying out T
 	dsn, err := compileFlat(src, top)
 	if err != nil {
 		return nil, err
@@ -550,11 +548,7 @@ endmodule
 // loaded with the naive appended order (philos-16 with its default
 // order — see below), then forward reachability runs with sifting
 // off versus growth-triggered auto sifting at the fixpoint safe points.
-// The auto-naive configuration runs the same auto sifting with every
-// acceleration disabled (-reorder-accel none) — the pre-acceleration
-// Rudell sifter — so sift-ms auto vs auto-naive is the acceleration
-// speedup and swaps auto vs auto-naive the swap reduction; benchjson
-// derives both ratios into BENCH_reorder.json. A GC and a peak reset
+// A GC and a peak reset
 // after the build discard the build phase's garbage, so peak-live-nodes
 // isolates the reachability phase that reordering can influence.
 func BenchmarkReorder(b *testing.B) {
@@ -567,7 +561,6 @@ func BenchmarkReorder(b *testing.B) {
 		scramble := design != "philos-16"
 		cfgs := []reorderCfg{
 			{"auto", core.Options{AppendedOrder: scramble, Reorder: "auto"}},
-			{"auto-naive", core.Options{AppendedOrder: scramble, Reorder: "auto", ReorderAccel: "none"}},
 		}
 		if scramble {
 			cfgs = append([]reorderCfg{{"off", core.Options{AppendedOrder: true, Reorder: "off"}}}, cfgs...)
@@ -580,15 +573,6 @@ func BenchmarkReorder(b *testing.B) {
 			// realistic run, where growth triggers still fire during
 			// reachability (the parameterized-suite scenario that
 			// motivated the accelerations).
-		}
-		if design == "mdlc2" {
-			// Single-acceleration ablations on the one design where
-			// reordering dominates (EXPERIMENTS.md ablation H): each row
-			// disables exactly one acceleration.
-			cfgs = append(cfgs,
-				reorderCfg{"auto-nointer", core.Options{AppendedOrder: true, Reorder: "auto", ReorderAccel: "lowerbound"}},
-				reorderCfg{"auto-nolb", core.Options{AppendedOrder: true, Reorder: "auto", ReorderAccel: "interaction"}},
-			)
 		}
 		for _, cfg := range cfgs {
 			cfg := cfg

@@ -26,16 +26,14 @@
 //	trace on [file.jsonl] / trace off
 //	quit
 //
-// Flags: -image auto|monolithic|partitioned|clustered|iso selects the
+// Flags: -image auto|monolithic|clustered|iso selects the
 // image-computation engine (iso compiles clusters once per class of
 // isomorphic latch cones and instantiates replicas by variable
 // permutation; auto picks it whenever a design has enough replication,
 // and then never builds the monolithic relation); -reorder
 // off|manual|auto selects the dynamic-reordering policy for designs
-// loaded afterwards; -reorder-accel all|none|<list> toggles the sifting
-// accelerations (interaction-matrix fast swaps, lower-bound aborts),
-// -reorder-max-growth and -reorder-trigger tune the sift growth bound
-// and the auto trigger factor; -order <file> seeds the variable order
+// loaded afterwards (every sift runs the one reorder.Sift
+// configuration); -order <file> seeds the variable order
 // from a saved .order file (written by write_order); -stats prints BDD
 // statistics after checking commands; -trace <file.jsonl> arms the
 // telemetry layer for the whole session and writes one JSON event per

@@ -337,19 +337,18 @@ func TestShellIsoPlanLine(t *testing.T) {
 }
 
 // TestParseFlags checks the command line goes through the binder shared
-// with table1, and that -workers is not a flag.
+// with table1, and that neither -workers nor the removed sifting tuning
+// flags are flags.
 func TestParseFlags(t *testing.T) {
 	sh, cf, err := parseFlags([]string{
-		"-image", "iso", "-reorder", "auto", "-reorder-accel", "lowerbound",
-		"-reorder-max-growth", "1.5", "-reorder-trigger", "3",
+		"-image", "iso", "-reorder", "auto",
 		"-trace", "run.jsonl", "-profile", "prof", "-stats", "-order", "x.order",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := sh.opts
-	if o.Image != "iso" || o.Reorder != "auto" || o.ReorderAccel != "lowerbound" ||
-		o.ReorderMaxGrowth != 1.5 || o.ReorderTrigger != 3 || o.OrderFile != "x.order" {
+	if o.Image != "iso" || o.Reorder != "auto" || o.OrderFile != "x.order" {
 		t.Fatalf("options not bound: %+v", o)
 	}
 	if !sh.stats || cf.Trace != "run.jsonl" || cf.Profile != "prof" {
@@ -359,11 +358,18 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.opts.Image != "auto" || sh.opts.Reorder != "off" || sh.opts.ReorderAccel != "all" {
+	if sh.opts.Image != "auto" || sh.opts.Reorder != "off" {
 		t.Fatalf("defaults: %+v", sh.opts)
 	}
-	if _, _, err := parseFlags([]string{"-workers", "2"}); err == nil {
-		t.Fatal("-workers was accepted")
+	for _, gone := range [][]string{
+		{"-workers", "2"},
+		{"-reorder-accel", "none"},
+		{"-reorder-max-growth", "1.5"},
+		{"-reorder-trigger", "3"},
+	} {
+		if _, _, err := parseFlags(gone); err == nil {
+			t.Fatalf("%s was accepted", gone[0])
+		}
 	}
 }
 

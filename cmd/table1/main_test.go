@@ -44,11 +44,10 @@ func TestMeasureUnknownDesign(t *testing.T) {
 
 // TestParseFlags checks the command line goes through the binder shared
 // with hsis, alongside the table1-only ablation switches, and that
-// -workers is not a flag.
+// neither -workers nor the removed sifting tuning flags are flags.
 func TestParseFlags(t *testing.T) {
 	c, err := parseFlags([]string{
-		"-image", "clustered", "-reorder", "manual", "-reorder-accel", "none",
-		"-reorder-max-growth", "1.3", "-reorder-trigger", "2.5",
+		"-image", "clustered", "-reorder", "manual",
 		"-trace", "t.jsonl", "-profile", "p",
 		"-design", "pingpong", "-quant", "naive", "-coi", "-early", "3",
 	})
@@ -56,8 +55,7 @@ func TestParseFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := c.opts
-	if o.Image != "clustered" || o.Reorder != "manual" || o.ReorderAccel != "none" ||
-		o.ReorderMaxGrowth != 1.3 || o.ReorderTrigger != 2.5 {
+	if o.Image != "clustered" || o.Reorder != "manual" {
 		t.Fatalf("shared options not bound: %+v", o)
 	}
 	if !o.NaiveQuantification || !o.ConeOfInfluence || o.EarlySteps != 3 || c.only != "pingpong" {
@@ -66,8 +64,15 @@ func TestParseFlags(t *testing.T) {
 	if c.cli.Trace != "t.jsonl" || c.cli.Profile != "p" {
 		t.Fatalf("trace/profile not bound: %+v", c.cli)
 	}
-	if _, err := parseFlags([]string{"-workers", "2"}); err == nil {
-		t.Fatal("-workers was accepted")
+	for _, gone := range [][]string{
+		{"-workers", "2"},
+		{"-reorder-accel", "none"},
+		{"-reorder-max-growth", "1.3"},
+		{"-reorder-trigger", "2.5"},
+	} {
+		if _, err := parseFlags(gone); err == nil {
+			t.Fatalf("%s was accepted", gone[0])
+		}
 	}
 	if _, err := parseFlags([]string{"-quant", "bogus"}); err == nil {
 		t.Fatal("unknown -quant value was accepted")

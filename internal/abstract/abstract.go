@@ -134,8 +134,3 @@ func ConeOfInfluence(flat *blifmv.Model, observed []string) (*Result, error) {
 	}
 	return res, nil
 }
-
-// SupportOf lists the design variables a set of observed names plus any
-// extra property atoms depend on; a convenience wrapper for callers that
-// collect atoms from formulas.
-func SupportOf(names ...string) []string { return names }

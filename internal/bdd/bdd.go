@@ -140,11 +140,10 @@ type Manager struct {
 	quantMask uint64
 	aexMask   uint64
 
-	cacheBudget int                    // total entry budget across all op caches
-	cacheWin    [numCaches]cacheWindow // adaptive-growth bookkeeping
-	allocs      uint64                 // node allocations
-	allocsAtGC  uint64                 // allocs at the last collection (demand estimate)
-	sinceAdapt  uint64                 // allocations since the last adaptation checkpoint
+	cacheWin   [numCaches]cacheWindow // adaptive-growth bookkeeping
+	allocs     uint64                 // node allocations
+	allocsAtGC uint64                 // allocs at the last collection (demand estimate)
+	sinceAdapt uint64                 // allocations since the last adaptation checkpoint
 
 	marks   []uint64 // reusable mark bitmap, one bit per node slot
 	counted []uint64 // NodeCount's bitmap, all zero between calls
@@ -173,14 +172,12 @@ type Manager struct {
 	// drivers' CheckInterrupt calls at their safe points.
 	interrupted atomic.Bool
 
-	gcEnabled bool
 	autoGCAt  int // node count that triggers an automatic GC on allocation
 	GCCount   int // number of garbage collections performed
 	lastLive  int
 	numVars   int
 	peakNodes int
-	peakLive  int                  // largest live count seen at an allocation
-	OnGC      func(live, dead int) // optional GC observer
+	peakLive  int // largest live count seen at an allocation
 
 	// Dynamic variable reordering (reorder.go; sifting driver in
 	// internal/reorder).
@@ -271,19 +268,17 @@ const defaultTableSize = 1 << 14
 // NewVar or NewVars.
 func New() *Manager {
 	m := &Manager{
-		table:       make([]int32, defaultTableSize),
-		tableMask:   defaultTableSize - 1,
-		ite:         make([]iteEntry, initITECache),
-		binop:       make([]binopEntry, initBinopCache),
-		quant:       make([]quantEntry, initQuantCache),
-		aex:         make([]aexEntry, initAexCache),
-		iteMask:     initITECache - 1,
-		binopMask:   initBinopCache - 1,
-		quantMask:   initQuantCache - 1,
-		aexMask:     initAexCache - 1,
-		cacheBudget: defaultCacheBudget,
-		gcEnabled:   true,
-		autoGCAt:    1 << 19,
+		table:     make([]int32, defaultTableSize),
+		tableMask: defaultTableSize - 1,
+		ite:       make([]iteEntry, initITECache),
+		binop:     make([]binopEntry, initBinopCache),
+		quant:     make([]quantEntry, initQuantCache),
+		aex:       make([]aexEntry, initAexCache),
+		iteMask:   initITECache - 1,
+		binopMask: initBinopCache - 1,
+		quantMask: initQuantCache - 1,
+		aexMask:   initAexCache - 1,
+		autoGCAt:  1 << 19,
 	}
 	// Install the single terminal at index 0.
 	m.chunks = append(m.chunks, new(chunk))

@@ -173,10 +173,6 @@ func (m *Manager) andExistsRec(f, g, cube Ref) Ref {
 	return r
 }
 
-// ExistsAbstractAnd is an alias of AndExists with argument order matching
-// the image-computation literature: ∃cube. f ∧ g.
-func (m *Manager) ExistsAbstractAnd(cube, f, g Ref) Ref { return m.AndExists(f, g, cube) }
-
 func sortInt32(a []int32) {
 	// insertion sort; cubes are small
 	for i := 1; i < len(a); i++ {

@@ -14,7 +14,6 @@ package blifmv
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Design is a collection of models from one or more BLIF-MV sources;
@@ -211,16 +210,6 @@ func (m *Model) Seal() {
 // Sealed reports whether Seal has run.
 func (m *Model) Sealed() bool { return m.sealed }
 
-// IsInput reports whether name is a primary input of the model.
-func (m *Model) IsInput(name string) bool {
-	for _, i := range m.Inputs {
-		if i == name {
-			return true
-		}
-	}
-	return false
-}
-
 // LatchOutputs returns the set of present-state variable names.
 func (m *Model) LatchOutputs() map[string]bool {
 	out := make(map[string]bool, len(m.Latches))
@@ -336,17 +325,6 @@ func contains(xs []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// SortedVarNames returns the model's variable names sorted; handy for
-// deterministic reporting.
-func (m *Model) SortedVarNames() []string {
-	out := make([]string, 0, len(m.Vars))
-	for n := range m.Vars {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String renders a short structural summary.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -130,28 +129,12 @@ func (d *CompiledDesign) appendedOrder() []string {
 // jobs share the parsed design, never the BDD state.
 func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 	start := time.Now()
-	switch opts.Reorder {
-	case "", "off", "manual", "auto":
-	default:
-		return nil, fmt.Errorf("core: unknown reorder policy %q (want off, manual or auto)", opts.Reorder)
-	}
-	engine, ok := reach.ParseEngineKind(opts.Image)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown image engine %q (want auto, monolithic, partitioned, clustered or iso)", opts.Image)
-	}
-	ropts, err := parseReorderOptions(opts)
+	engine, err := opts.imageEngine()
 	if err != nil {
 		return nil, err
 	}
-	nopts := network.Options{
-		Heuristic:           opts.Heuristic,
-		NaiveQuantification: opts.NaiveQuantification,
-		AutoReorder:         opts.Reorder == "auto",
-		ReorderOpts:         ropts,
-		ReorderTrigger:      opts.ReorderTrigger,
-		Order:               d.staticOrder,
-		Telemetry:           opts.Telemetry,
-	}
+	nopts := opts.networkOptions()
+	nopts.Order = d.staticOrder
 	if opts.AppendedOrder {
 		nopts.Order = d.appendedOrder()
 	} else if opts.OrderFile != "" {
@@ -179,7 +162,6 @@ func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 		VerilogLines: d.VerilogLines,
 		BlifmvLines:  d.BlifmvLines,
 		opts:         opts,
-		ropts:        ropts,
 	}
 	// Per-job property compilation: fairness constraints become BDDs in
 	// this workspace's manager; the syntactic specs stay shared.

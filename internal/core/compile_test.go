@@ -81,16 +81,17 @@ func TestInstantiateValidatesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := art.Instantiate(Options{Image: "bogus"}); err == nil {
-		t.Error("bogus image engine accepted")
+	for _, bad := range []Options{{Image: "bogus"}, {Image: "partitioned"}, {Reorder: "bogus"}} {
+		if _, err := art.Instantiate(bad); err == nil {
+			t.Errorf("Instantiate accepted %+v", bad)
+		}
+		if bad.Validate() == nil {
+			t.Errorf("Validate accepted %+v", bad)
+		}
 	}
-	if _, err := art.Instantiate(Options{Reorder: "bogus"}); err == nil {
-		t.Error("bogus reorder policy accepted")
-	}
-	if _, err := art.Instantiate(Options{ReorderAccel: "bogus"}); err == nil {
-		t.Error("bogus reorder acceleration accepted")
-	}
-	if _, err := art.Instantiate(Options{ReorderAccel: "interaction,symmetry"}); err == nil {
-		t.Error("symmetry accepted as a reorder acceleration")
+	for _, img := range []string{"", "auto", "monolithic", "clustered", "iso"} {
+		if err := (Options{Image: img, Reorder: "auto"}).Validate(); err != nil {
+			t.Errorf("image %q: %v", img, err)
+		}
 	}
 }

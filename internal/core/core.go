@@ -51,22 +51,8 @@ type Options struct {
 	// Reorder selects the dynamic variable reordering policy: "" or
 	// "off" (none), "manual" (only explicit SiftNow calls), "auto"
 	// (growth-triggered block sifting at reachability safe points).
+	// Every sift runs reorder.Sift's one configuration.
 	Reorder string
-	// ReorderMaxGrowth bounds how far the node count may rise above the
-	// best size seen while one block is in motion before the move
-	// aborts in that direction (<= 1 keeps the default 1.2).
-	ReorderMaxGrowth float64
-	// ReorderTrigger scales the automatic sifting trigger: a sift fires
-	// when live nodes exceed this factor times the size at the last
-	// (re-)arming (<= 1 keeps the default 2; the auto hook's back-off
-	// policy may raise the effective factor after unproductive passes).
-	ReorderTrigger float64
-	// ReorderAccel selects which sifting accelerations run: "" or "all"
-	// (everything), "none" (the plain Rudell sifter, for ablations), or
-	// a comma list drawn from "interaction" (interaction-matrix fast
-	// swaps) and "lowerbound" (lower-bound direction aborts) enabling
-	// just those.
-	ReorderAccel string
 	// OrderFile, when non-empty, seeds the variable order from a saved
 	// .order file if it exists and matches the model; otherwise the
 	// static interacting-FSM order is used. SaveOrder writes the file.
@@ -74,7 +60,7 @@ type Options struct {
 	// Image selects the image-computation engine for reachability and
 	// invariance checking: "" or "auto" (iso on designs with enough
 	// replicated latch cones, monolithic otherwise), "monolithic",
-	// "partitioned", "clustered", or "iso" (falls back to clustered on
+	// "clustered", or "iso" (falls back to clustered on
 	// designs with no replication). The monolithic product relation T is
 	// built only when the resolved engine is monolithic; otherwise every
 	// check, CTL and language containment alike, replays image plans.
@@ -121,33 +107,41 @@ type Workspace struct {
 	BlifmvLines  int
 	ReadTime     time.Duration // parse BLIF-MV + build transition relation
 
-	opts  Options
-	ropts reorder.Options // parsed reorder tuning, shared by auto sifts and SiftNow
+	opts Options
 }
 
-// parseReorderOptions translates the string-typed reorder tuning in
-// Options into the sift driver's Options. Auto and manual sifts share
-// the result, so a CLI ablation flag governs both.
-func parseReorderOptions(opts Options) (reorder.Options, error) {
-	ropts := reorder.Options{MaxGrowth: opts.ReorderMaxGrowth, Converge: true}
-	switch strings.TrimSpace(opts.ReorderAccel) {
-	case "", "all":
-	case "none":
-		ropts.NoInteraction, ropts.NoLowerBound = true, true
+// Validate reports an unknown reorder policy or image engine, the two
+// string-typed options. Instantiate checks them too; the daemon calls
+// Validate at submission so a bad request never reaches a worker.
+func (o Options) Validate() error {
+	_, err := o.imageEngine()
+	return err
+}
+
+// imageEngine validates the string-typed options and returns the
+// parsed image engine.
+func (o Options) imageEngine() (reach.EngineKind, error) {
+	switch o.Reorder {
+	case "", "off", "manual", "auto":
 	default:
-		ropts.NoInteraction, ropts.NoLowerBound = true, true
-		for _, tok := range strings.Split(opts.ReorderAccel, ",") {
-			switch strings.TrimSpace(tok) {
-			case "interaction":
-				ropts.NoInteraction = false
-			case "lowerbound":
-				ropts.NoLowerBound = false
-			default:
-				return ropts, fmt.Errorf("core: unknown reorder acceleration %q (want all, none, or a comma list of interaction, lowerbound)", strings.TrimSpace(tok))
-			}
-		}
+		return 0, fmt.Errorf("core: unknown reorder policy %q (want off, manual or auto)", o.Reorder)
 	}
-	return ropts, nil
+	engine, ok := reach.ParseEngineKind(o.Image)
+	if !ok {
+		return 0, fmt.Errorf("core: unknown image engine %q (want auto, monolithic, clustered or iso)", o.Image)
+	}
+	return engine, nil
+}
+
+// networkOptions derives the symbolic-compilation options shared by a
+// workspace's full network and its cone-of-influence sub-networks.
+func (o Options) networkOptions() network.Options {
+	return network.Options{
+		Heuristic:           o.Heuristic,
+		NaiveQuantification: o.NaiveQuantification,
+		AutoReorder:         o.Reorder == "auto",
+		Telemetry:           o.Telemetry,
+	}
 }
 
 // LoadVerilogString compiles Verilog source text into a workspace.
@@ -247,15 +241,7 @@ func (w *Workspace) coneWorkspace(observed []string) (*Workspace, *abstract.Resu
 	if cached, ok := w.coneCache[key]; ok {
 		return cached, res, nil
 	}
-	nopts := network.Options{
-		Heuristic:           w.opts.Heuristic,
-		NaiveQuantification: w.opts.NaiveQuantification,
-		AutoReorder:         w.opts.Reorder == "auto",
-		ReorderOpts:         w.ropts,
-		ReorderTrigger:      w.opts.ReorderTrigger,
-		Telemetry:           w.opts.Telemetry,
-	}
-	net, err := buildNetwork(res.Model, nopts, w.engine)
+	net, err := buildNetwork(res.Model, w.opts.networkOptions(), w.engine)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -332,7 +318,7 @@ type PropertyResult struct {
 // returns its before/after statistics. It follows the GC protection
 // contract, which every long-lived Ref in the workspace satisfies.
 func (w *Workspace) SiftNow() reorder.Result {
-	return reorder.Sift(w.Net.Manager(), w.ropts)
+	return reorder.Sift(w.Net.Manager())
 }
 
 // SaveOrder writes the current variable order (post-sifting, if any) to
@@ -362,7 +348,7 @@ func (w *Workspace) ReachableStatesExact() *big.Int {
 // derived from it): the running fixpoint unwinds with
 // bdd.ErrInterrupted at its next safe point. Safe to call from any
 // goroutine; the caller that owns the computation recovers the panic
-// (see bdd.RecoverInterrupt).
+// (as Server.runVerification does).
 func (w *Workspace) Interrupt() {
 	w.Net.Manager().Interrupt()
 	w.coneMu.Lock()

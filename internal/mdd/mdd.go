@@ -187,16 +187,6 @@ func (s *Space) CubeOf(vars []*Var) bdd.Ref {
 	return s.mgr.Cube(bits)
 }
 
-// BitsOf returns the binary variable IDs of the given variables, in
-// variable-then-bit order.
-func (s *Space) BitsOf(vars []*Var) []int {
-	var bits []int
-	for _, v := range vars {
-		bits = append(bits, v.bits...)
-	}
-	return bits
-}
-
 // Permutation builds a BDD variable permutation that maps each variable
 // in from to the corresponding variable in to (and vice versa). The
 // slices must be parallel and each pair must have equal bit width.

@@ -58,9 +58,6 @@ type IsoClass struct {
 	local []int
 }
 
-// Members returns the number of replicas in the class.
-func (c *IsoClass) Members() int { return len(c.Latches) }
-
 // isoState caches detection results (immutable once computed) and the
 // compiled iso pipeline (epoch-stamped, rebuilt after reorders).
 type isoState struct {
@@ -660,9 +657,4 @@ func (n *Network) IsoSummaryInfo() IsoSummary {
 		s.PreimageSteps = len(st.prePlan.Steps)
 	}
 	return s
-}
-
-// IsoClasses returns the detected equivalence classes (read-only).
-func (n *Network) IsoClasses() []*IsoClass {
-	return n.ensureIsoDetect().classes
 }

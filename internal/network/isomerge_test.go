@@ -102,7 +102,7 @@ func TestIsoMergedPlansExact(t *testing.T) {
 			}
 			check("initial order")
 			before := m.ReorderCount()
-			reorder.Sift(m, reorder.Options{Converge: true})
+			reorder.Sift(m)
 			if m.ReorderCount() == before {
 				t.Fatal("sift did not open a new reorder epoch")
 			}

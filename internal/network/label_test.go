@@ -181,7 +181,7 @@ func TestConeLabelsAcrossGCAndReorder(t *testing.T) {
 	n := build()
 	for i := len(vars) - 1; i >= 0; i-- {
 		if i == len(vars)/2 {
-			reorder.Sift(n.mgr, reorder.Options{Converge: true})
+			reorder.Sift(n.mgr)
 		}
 		got := n.NumStatesExact(label(n, vars[i])).String()
 		if got != want[i] {

@@ -34,9 +34,9 @@ type Options struct {
 	// Order optionally fixes the MDD variable creation order (variable
 	// names of the flat model). Default: order.Compute.
 	Order []string
-	// SkipMonolithic leaves N.T unbuilt (False); reachability then uses
-	// the partitioned relation via Conjuncts (Ablation F) or the
-	// clustered plans.
+	// SkipMonolithic leaves N.T unbuilt (False); reachability then
+	// replays the clustered or iso plans over the partitioned relation
+	// (Ablation F) until EnsureT builds T.
 	SkipMonolithic bool
 	// NaiveQuantification disables early quantification and builds the
 	// full conjunction before quantifying (Ablation A baseline).
@@ -51,14 +51,8 @@ type Options struct {
 	ExactOrder bool
 	// AutoReorder arms growth-triggered sifting on the manager: when live
 	// nodes grow past the adaptive threshold, the next reachability safe
-	// point runs a converging block sift.
+	// point runs a converging block sift (reorder.EnableAuto).
 	AutoReorder bool
-	// ReorderOpts tunes the automatic sift runs (growth bound and the
-	// acceleration ablation switches); Converge is forced on.
-	ReorderOpts reorder.Options
-	// ReorderTrigger overrides the auto-sift growth trigger factor
-	// (<= 1 keeps the default 2).
-	ReorderTrigger float64
 	// Telemetry, when non-nil, becomes the new manager's observability
 	// scope (Manager.SetTelemetry) before any node is built, so even
 	// construction-time GC and cache-growth events land in the right
@@ -109,11 +103,6 @@ type Network struct {
 	plansBuilt   bool
 	planEpoch    int // Manager.ReorderCount() when the plans were compiled
 	clusterLimit int
-
-	// Reusable operand buffers, so the per-call partitioned engine
-	// allocates no operand slices per image.
-	imgConjs, preConjs []quant.Conjunct
-	imgQVars, preQVars []int
 
 	psVars, nsVars []*mdd.Var
 	psBits, nsBits []int
@@ -248,9 +237,7 @@ func Build(flat *blifmv.Model, opts Options) (*Network, error) {
 		n.mgr.GroupVars(append(append([]int(nil), l.PS.Bits()...), l.NS.Bits()...))
 	}
 	if opts.AutoReorder {
-		ropts := opts.ReorderOpts
-		ropts.Converge = true
-		reorder.EnableAuto(n.mgr, opts.ReorderTrigger, 0, ropts)
+		reorder.EnableAuto(n.mgr)
 	}
 
 	// Non-state variables: everything not on the PS or NS rail.
@@ -294,9 +281,10 @@ func Build(flat *blifmv.Model, opts Options) (*Network, error) {
 			n.conjuncts = append(n.conjuncts, quant.Conjunct{F: dom, Support: l.NS.Bits()})
 		}
 	}
-	// The partitioned engines read the conjuncts on every image call,
-	// across GC and reorder safe points: protect them for the life of
-	// the network.
+	// The clustered and iso pipelines re-derive their plans from the
+	// conjuncts after every reorder session, and T, labels and the
+	// simulator read them across GC and reorder safe points: protect
+	// them for the life of the network.
 	for _, c := range n.conjuncts {
 		n.mgr.IncRef(c.F)
 	}
@@ -310,9 +298,8 @@ func Build(flat *blifmv.Model, opts Options) (*Network, error) {
 	// The clustered image pipeline (size-bounded clusters plus one frozen
 	// quantification schedule per direction) is compiled lazily by
 	// ensurePlans on first use, so a run that only ever touches the
-	// monolithic or per-call partitioned engines never pays for it.
+	// monolithic engine never pays for it.
 	n.clusterLimit = opts.ClusterLimit
-	n.buildPartitionedBuffers()
 
 	// Product transition relation.
 	n.naive = opts.NaiveQuantification
@@ -359,33 +346,6 @@ func (n *Network) ensurePlans() {
 	n.prePlan.Retain(n.mgr)
 	n.plansBuilt = true
 	n.planEpoch = epoch
-}
-
-// buildPartitionedBuffers preallocates the operand slices the
-// per-call-scheduled partitioned engine reuses on every image.
-func (n *Network) buildPartitionedBuffers() {
-	n.imgConjs = make([]quant.Conjunct, len(n.conjuncts)+1)
-	copy(n.imgConjs, n.conjuncts)
-	n.preConjs = make([]quant.Conjunct, len(n.conjuncts)+1)
-	copy(n.preConjs, n.conjuncts)
-	n.imgQVars = append(append([]int(nil), n.nonState...), n.psBits...)
-	n.preQVars = append(append([]int(nil), n.nonState...), n.nsBits...)
-}
-
-// ImageOperands returns the conjunct list (every table relation plus the
-// present-state set s) and the quantification variables for one
-// partitioned image call. The returned slices are buffers owned by the
-// network, valid until the next ImageOperands call.
-func (n *Network) ImageOperands(s bdd.Ref) ([]quant.Conjunct, []int) {
-	n.imgConjs[len(n.imgConjs)-1] = quant.Conjunct{F: s, Support: n.psBits}
-	return n.imgConjs, n.imgQVars
-}
-
-// PreimageOperands is the next-state counterpart of ImageOperands; sNext
-// must already live on the NS rail (SwapRails applied).
-func (n *Network) PreimageOperands(sNext bdd.Ref) ([]quant.Conjunct, []int) {
-	n.preConjs[len(n.preConjs)-1] = quant.Conjunct{F: sNext, Support: n.nsBits}
-	return n.preConjs, n.preQVars
 }
 
 // ImagePlan returns the precompiled clustered image schedule, compiling

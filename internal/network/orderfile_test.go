@@ -55,7 +55,7 @@ func TestOrderFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reorder.Sift(n.Manager(), reorder.Options{Converge: true})
+	reorder.Sift(n.Manager())
 
 	entries := order.Snapshot(n.Space())
 	if len(entries) != len(n.Space().Vars()) {

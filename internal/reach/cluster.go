@@ -3,16 +3,14 @@ package reach
 // Clustered image computation and the engine abstraction: every
 // fixpoint in the repository (reachability, CTL, language containment)
 // computes images and preimages through an ImageEngine, selecting the
-// monolithic product relation, the per-call-scheduled partitioned
-// relation, the precompiled clustered pipeline, or its iso-compiled
-// variant. Iso or clustered is the default whenever the monolithic
+// monolithic product relation, the precompiled clustered pipeline, or
+// its iso-compiled variant. Iso or clustered is the default whenever the monolithic
 // relation has not been built — each replays a schedule compiled once
 // per network and performs no per-call scheduling work.
 
 import (
 	"hsis/internal/bdd"
 	"hsis/internal/network"
-	"hsis/internal/quant"
 )
 
 // EngineKind selects an image-computation strategy.
@@ -28,9 +26,6 @@ const (
 	// EngineMonolithic uses the product transition relation T (building
 	// it on first use if necessary).
 	EngineMonolithic
-	// EnginePartitioned re-schedules the raw conjuncts on every call
-	// (the pre-clustering behavior; kept as an ablation baseline).
-	EnginePartitioned
 	// EngineClustered replays the precompiled per-network plan.
 	EngineClustered
 	// EngineIso replays the isomorphism-compiled plan: clusters built
@@ -43,8 +38,6 @@ func (k EngineKind) String() string {
 	switch k {
 	case EngineMonolithic:
 		return "monolithic"
-	case EnginePartitioned:
-		return "partitioned"
 	case EngineClustered:
 		return "clustered"
 	case EngineIso:
@@ -62,8 +55,6 @@ func ParseEngineKind(s string) (EngineKind, bool) {
 		return EngineAuto, true
 	case "monolithic":
 		return EngineMonolithic, true
-	case "partitioned":
-		return EnginePartitioned, true
 	case "clustered":
 		return EngineClustered, true
 	case "iso":
@@ -117,16 +108,6 @@ func Resolve(n *network.Network, kind EngineKind) EngineKind {
 func Engine(n *network.Network, kind EngineKind) ImageEngine {
 	m := n.Manager()
 	switch kind = Resolve(n, kind); kind {
-	case EnginePartitioned:
-		return &engine{n: n, kind: kind,
-			post: func(seed bdd.Ref) bdd.Ref {
-				conjs, qvars := n.ImageOperands(seed)
-				return quant.AndExists(m, conjs, qvars, n.Heuristic())
-			},
-			pre: func(seed bdd.Ref) bdd.Ref {
-				conjs, qvars := n.PreimageOperands(seed)
-				return quant.AndExists(m, conjs, qvars, n.Heuristic())
-			}}
 	case EngineIso:
 		return &engine{n: n, kind: kind,
 			post: func(seed bdd.Ref) bdd.Ref { return n.IsoImagePlan().Run(m, seed) },

@@ -1,7 +1,7 @@
 package reach_test
 
-// Property-style engine-equivalence tests: the monolithic, partitioned,
-// clustered, and iso image engines must compute identical successor and
+// Property-style engine-equivalence tests: the monolithic, clustered,
+// and iso image engines must compute identical successor and
 // predecessor sets on every bundled Table-1 design (plus a generated
 // philos-16, where isomorphism detection covers every latch), for every
 // reachability ring, and Backward must agree across engines under
@@ -37,16 +37,15 @@ func buildNet(t *testing.T, d *designs.Design, opts network.Options) *network.Ne
 
 var engineKinds = []reach.EngineKind{
 	reach.EngineMonolithic,
-	reach.EnginePartitioned,
 	reach.EngineClustered,
 	reach.EngineIso,
 }
 
 // equivalenceDesigns is the bundled Table-1 suite plus one generated
 // philos instance, so every latch of at least one design sits in an
-// isomorphism class. The scale is a parameter because backward
-// fixpoints from deep rings cost minutes at N=16 under the partitioned
-// engine; the image test affords the full philos-16.
+// isomorphism class. The scale is a parameter so the backward test,
+// which runs one fixpoint per engine and care set, can stay on the
+// smaller philos-8 while the image test affords the full philos-16.
 func equivalenceDesigns(t *testing.T, scaled string) []*designs.Design {
 	t.Helper()
 	all, err := designs.All()
@@ -71,8 +70,7 @@ func TestEnginesAgreeOnAllDesigns(t *testing.T) {
 				t.Fatal("reachability diverged")
 			}
 			// Every ring on small designs; evenly-sampled rings on large
-			// ones (the partitioned preimage of a wide mdlc2 ring costs
-			// seconds, and adjacent rings exercise the same code paths).
+			// ones (adjacent rings exercise the same code paths).
 			sets := []bdd.Ref{n.Init, res.Reached}
 			const maxRings = 6
 			step := 1

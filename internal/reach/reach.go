@@ -1,6 +1,6 @@
 // Package reach implements symbolic image/preimage computation and
-// reachability over a compiled network, including the partitioned
-// transition relation variant (paper §8 item 4) and the bounded
+// reachability over a compiled network, including the clustered
+// partitioned transition relation (paper §8 item 4) and the bounded
 // "few reachability steps" primitive behind early failure detection
 // (paper §5.4).
 package reach
@@ -32,9 +32,6 @@ type Options struct {
 	// monolithic when T is built, otherwise iso on sufficiently
 	// replicated designs, clustered if not).
 	Engine EngineKind
-	// Partitioned selects the per-call-scheduled partitioned engine
-	// (legacy knob, equivalent to Engine: EnginePartitioned).
-	Partitioned bool
 	// KeepRings records the frontier of every step for counterexample
 	// reconstruction ("onion rings").
 	KeepRings bool
@@ -68,11 +65,7 @@ func Forward(n *network.Network, opts Options) *Result {
 // ForwardFrom computes the states reachable from the given set.
 func ForwardFrom(n *network.Network, from bdd.Ref, opts Options) *Result {
 	m := n.Manager()
-	kind := opts.Engine
-	if opts.Partitioned && kind == EngineAuto {
-		kind = EnginePartitioned
-	}
-	eng := Engine(n, kind)
+	eng := Engine(n, opts.Engine)
 	img := eng.Image
 	res := &Result{Reached: from}
 	frontier := from
@@ -116,7 +109,7 @@ func ForwardFrom(n *network.Network, from bdd.Ref, opts Options) *Result {
 		// can run here under the GC protection contract. The pending
 		// checks gate the IncRef traffic to the (rare) iterations where
 		// a sift or collection actually fires. Without the periodic GC
-		// the partitioned engines' transient recursion garbage
+		// the plan-replay engines' transient recursion garbage
 		// accumulates across the whole fixpoint — on mdlc2's clustered
 		// pipeline that alone was a 1.9M-node high-water mark for a live
 		// set under 100k.

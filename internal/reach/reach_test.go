@@ -106,25 +106,36 @@ func TestImagePreimageDuality(t *testing.T) {
 	}
 }
 
+// TestPartitionedMatchesMonolithic checks the partitioned transition
+// relation (paper §8 item 4) in the form the engines use it — the
+// clustered plans of a network that never multiplies out T — against
+// the monolithic relation, image by image and for full reachability.
 func TestPartitionedMatchesMonolithic(t *testing.T) {
 	for _, src := range []string{counter4, gated5} {
-		n := compile(t, src, network.Options{})
+		n := compile(t, src, network.Options{SkipMonolithic: true})
+		m := n.Manager()
 		s := n.VarByName("s")
-		part := Engine(n, EnginePartitioned)
+		part := Engine(n, EngineClustered)
+		var imgs, pres []bdd.Ref
 		for v := 0; v < s.Card(); v++ {
-			if Image(n, s.Eq(v)) != part.Image(s.Eq(v)) {
-				t.Fatalf("partitioned image differs at state %d", v)
+			imgs = append(imgs, m.IncRef(part.Image(s.Eq(v))))
+			pres = append(pres, m.IncRef(part.Preimage(s.Eq(v))))
+		}
+		rp := Forward(n, Options{Engine: EngineClustered})
+		m.IncRef(rp.Reached)
+		if n.TBuilt() {
+			t.Fatal("clustered engine multiplied out T")
+		}
+		for v := 0; v < s.Card(); v++ {
+			if Image(n, s.Eq(v)) != imgs[v] {
+				t.Fatalf("clustered image differs at state %d", v)
 			}
-			if Preimage(n, s.Eq(v)) != part.Preimage(s.Eq(v)) {
-				t.Fatalf("partitioned preimage differs at state %d", v)
+			if Preimage(n, s.Eq(v)) != pres[v] {
+				t.Fatalf("clustered preimage differs at state %d", v)
 			}
 		}
-		// full reachability with SkipMonolithic
-		np := compile(t, src, network.Options{SkipMonolithic: true})
-		rp := Forward(np, Options{Partitioned: true})
-		rm := Forward(n, Options{})
-		if np.NumStates(rp.Reached) != n.NumStates(rm.Reached) {
-			t.Fatal("partitioned reachability differs")
+		if rm := Forward(n, Options{Engine: EngineMonolithic}); rm.Reached != rp.Reached {
+			t.Fatal("clustered reachability differs")
 		}
 	}
 }

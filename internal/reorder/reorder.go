@@ -24,24 +24,30 @@ import (
 	"hsis/internal/telemetry"
 )
 
-// Options tunes one sifting run.
-type Options struct {
-	// MaxGrowth bounds how far the node count may rise above the best
+// config is one sifting configuration. Sift and EnableAuto always run
+// defaults; the package's tests vary the fields to compare the
+// accelerated search against its unpruned and full-cost references.
+type config struct {
+	// maxGrowth bounds how far the node count may rise above the best
 	// size seen while one block is in motion before the move aborts in
-	// that direction (Rudell's maxGrowth; default 1.2).
-	MaxGrowth float64
-	// Converge repeats whole sifting passes until one fails to shrink
-	// the manager, bounded by MaxPasses.
-	Converge bool
-	// MaxPasses caps converging passes (default 4).
-	MaxPasses int
+	// that direction (Rudell's maxGrowth).
+	maxGrowth float64
+	// passes caps the converging sifting passes: a run repeats whole
+	// passes until one fails to shrink the manager.
+	passes int
+	// trigger and minNodes arm the automatic sift (see EnableAuto).
+	trigger  float64
+	minNodes int
 
-	// Ablation switches: each disables one acceleration independently
-	// (the -reorder-accel CLI flag and the EXPERIMENTS.md ablation use
-	// them). All false — everything enabled — is the default.
-	NoInteraction bool // full-cost swaps and no span skipping
-	NoLowerBound  bool // abort only on growth, never on the bound
+	// Reference switches: each disables one acceleration.
+	noInteraction bool // full-cost swaps and no span skipping
+	noLowerBound  bool // abort only on growth, never on the bound
 }
+
+// defaults is the one configuration the verifier runs: growth 1.2, up
+// to four converging passes, a 2x auto trigger above 4096 nodes, and
+// both accelerations on.
+var defaults = config{maxGrowth: 1.2, passes: 4, trigger: 2, minNodes: 1 << 12}
 
 // Result reports one sifting run.
 type Result struct {
@@ -69,20 +75,12 @@ type siftState struct {
 
 // Sift reorders the manager's variables by block sifting: each block in
 // turn is bubbled through the order and settled at the position
-// minimizing the live node count. A GC runs first so sifting measures
-// (and moves) only what the protected roots reach.
-func Sift(m *bdd.Manager, opts Options) Result {
-	growth := opts.MaxGrowth
-	if growth <= 1 {
-		growth = 1.2
-	}
-	passes := opts.MaxPasses
-	if passes <= 0 {
-		passes = 4
-	}
-	if !opts.Converge {
-		passes = 1
-	}
+// minimizing the live node count, in passes repeated until one fails to
+// shrink the manager (at most four). A GC runs first so sifting
+// measures (and moves) only what the protected roots reach.
+func Sift(m *bdd.Manager) Result { return sift(m, defaults) }
+
+func sift(m *bdd.Manager, cfg config) Result {
 	m.GC()
 	res := Result{Before: m.Size(), After: m.Size()}
 	blocks := materializeBlocks(m)
@@ -90,17 +88,17 @@ func Sift(m *bdd.Manager, opts Options) Result {
 		return res
 	}
 	s := m.StartReorder()
-	if opts.NoInteraction {
+	if cfg.noInteraction {
 		s.SetInteractionFastPath(false)
 	}
 	st := &siftState{blocks: blocks, posOf: make([]int, len(blocks))}
 	for i := range blocks {
 		st.posOf[i] = i
 	}
-	for p := 0; p < passes; p++ {
+	for p := 0; p < cfg.passes; p++ {
 		startSize := m.Size()
 		for _, id := range blockOrder(s, st.blocks) {
-			siftBlock(m, s, st, st.posOf[id], growth, opts)
+			siftBlock(m, s, st, st.posOf[id], cfg)
 		}
 		res.Passes++
 		if m.Size() >= startSize {
@@ -116,10 +114,9 @@ func Sift(m *bdd.Manager, opts Options) Result {
 }
 
 // EnableAuto arms growth-triggered sifting on m: when live nodes exceed
-// grow times the count at the last (re-)arming — at least minNodes —
-// the next kernel safe point (Manager.MaybeReorder, called between
-// fixpoint iterations, or MaybeGC) runs Sift with the given options and
-// re-arms the trigger. grow <= 1 selects 2x, minNodes <= 0 selects 4096.
+// twice the count at the last (re-)arming — at least 4096 — the next
+// kernel safe point (Manager.MaybeReorder, called between fixpoint
+// iterations, or MaybeGC) runs Sift and re-arms the trigger.
 //
 // The hook carries a back-off policy: a pass that shrinks the manager
 // by less than 10% raises the effective growth trigger by a quarter
@@ -132,16 +129,13 @@ func Sift(m *bdd.Manager, opts Options) Result {
 // final node count within a few percent of unlimited re-sifting while
 // skipping the late no-op passes). The adjustment lands before
 // MaybeReorder re-arms, so it takes effect immediately.
-func EnableAuto(m *bdd.Manager, grow float64, minNodes int, opts Options) {
-	if grow <= 1 {
-		grow = 2
-	}
-	if minNodes <= 0 {
-		minNodes = 1 << 12
-	}
+func EnableAuto(m *bdd.Manager) { enableAuto(m, defaults) }
+
+func enableAuto(m *bdd.Manager, cfg config) {
+	grow := cfg.trigger
 	cur := grow
-	m.SetAutoReorder(grow, minNodes, func(m *bdd.Manager) {
-		res := Sift(m, opts)
+	m.SetAutoReorder(grow, cfg.minNodes, func(m *bdd.Manager) {
+		res := sift(m, cfg)
 		if res.After*10 > res.Before*9 { // shrank < 10%: unproductive
 			if cur < 2*grow {
 				cur *= 1.25
@@ -237,14 +231,14 @@ func interacting(m *bdd.Manager, s *bdd.ReorderSession, a, b block) bool {
 // siftBlock bubbles st.blocks[idx] to both ends of the order (nearer
 // end first), tracking the best position seen, and finally settles the
 // block at that position. A direction is abandoned when the node count
-// exceeds growth times the best, or — unless disabled — when the lower
+// exceeds maxGrowth times the best, or — unless disabled — when the lower
 // bound proves no remaining position can beat the best: the only levels
 // that can still shrink are the moving block itself and the interacting
 // blocks ahead of it (crossing a non-interacting block is an exact
 // relabel, and blocks already passed are frozen for this direction), so
 // once size − Σ slack(ahead) − slack(moving) ≥ best the direction is
 // dead.
-func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, st *siftState, idx int, growth float64, opts Options) {
+func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, st *siftState, idx int, cfg config) {
 	var sp telemetry.Span
 	if t := m.Telemetry(); t != nil {
 		sp = t.Start("reorder.sift_block")
@@ -261,9 +255,9 @@ func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, st *siftState, idx int, gr
 		// Lower-bound state: R bounds how much the blocks still ahead
 		// in this direction can shrink.
 		R := 0
-		if !opts.NoLowerBound {
+		if !cfg.noLowerBound {
 			for q := cur + dir; q >= 0 && q < len(blocks); q += dir {
-				if opts.NoInteraction || interacting(m, s, blocks[cur], blocks[q]) {
+				if cfg.noInteraction || interacting(m, s, blocks[cur], blocks[q]) {
 					R += slack(s, blocks[q])
 				}
 			}
@@ -274,7 +268,7 @@ func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, st *siftState, idx int, gr
 			if nxt < 0 || nxt >= len(blocks) {
 				return
 			}
-			if !opts.NoInteraction {
+			if !cfg.noInteraction {
 				// Jump the maximal run of consecutive non-interacting
 				// blocks in one O(span) relabel. The crossing is exact —
 				// size unchanged, nothing to check — and those blocks
@@ -291,7 +285,7 @@ func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, st *siftState, idx int, gr
 				}
 			}
 			c := 0
-			if !opts.NoLowerBound {
+			if !cfg.noLowerBound {
 				c = slack(s, blocks[nxt])
 			}
 			j := cur
@@ -304,10 +298,10 @@ func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, st *siftState, idx int, gr
 			if sz < best {
 				best, bestPos = sz, cur
 			}
-			if float64(sz) > growth*float64(best) {
+			if float64(sz) > cfg.maxGrowth*float64(best) {
 				return
 			}
-			if !opts.NoLowerBound {
+			if !cfg.noLowerBound {
 				R -= c
 				if sz-R-slack(s, st.blocks[cur]) >= best {
 					s.NoteLowerBoundAbort()
@@ -329,7 +323,7 @@ func siftBlock(m *bdd.Manager, s *bdd.ReorderSession, st *siftState, idx int, gr
 		if bestPos < cur {
 			dir = -1
 		}
-		if !opts.NoInteraction {
+		if !cfg.noInteraction {
 			k, span := 0, 0
 			for q := cur + dir; q != bestPos+dir && !interacting(m, s, st.blocks[cur], st.blocks[q]); q += dir {
 				k++

@@ -41,7 +41,7 @@ func TestSiftShrinksAndPreservesFunctions(t *testing.T) {
 	wantF, wantG := evalAll(m, f, n), evalAll(m, g, n)
 
 	before := m.NodeCount(f)
-	res := Sift(m, Options{Converge: true})
+	res := Sift(m)
 	if res.After >= res.Before {
 		t.Fatalf("sifting did not shrink the manager: %d -> %d", res.Before, res.After)
 	}
@@ -76,7 +76,7 @@ func TestGroupBlocksStayContiguous(t *testing.T) {
 	f := m.IncRef(achilles(m, vars))
 	want := evalAll(m, f, n)
 
-	Sift(m, Options{Converge: true})
+	Sift(m)
 	for _, g := range [][]int{{0, 1, 2}, {3, 4}} {
 		base := m.Level(g[0])
 		for off, v := range g {
@@ -102,7 +102,11 @@ func TestAutoSiftAtSafePoints(t *testing.T) {
 	const n = 14
 	m := bdd.New()
 	vars := m.NewVars(n)
-	EnableAuto(m, 1.2, 64, Options{Converge: true})
+	// A small manager: arm at 1.2x above 64 nodes instead of the
+	// production 2x above 4096, so the test's few roots fire the trigger.
+	cfg := defaults
+	cfg.trigger, cfg.minNodes = 1.2, 64
+	enableAuto(m, cfg)
 
 	var roots []bdd.Ref
 	want := make(map[bdd.Ref][]bool)
@@ -142,8 +146,10 @@ func TestLowerBoundIsQualityNeutral(t *testing.T) {
 		m.IncRef(m.And(vars[1], m.Xor(vars[4], vars[9])))
 		return m
 	}
-	a := Sift(build(), Options{Converge: true})
-	b := Sift(build(), Options{Converge: true, NoLowerBound: true})
+	unpruned := defaults
+	unpruned.noLowerBound = true
+	a := Sift(build())
+	b := sift(build(), unpruned)
 	if a.After != b.After {
 		t.Fatalf("lower bound changed the result: %d with, %d without", a.After, b.After)
 	}
@@ -165,7 +171,7 @@ func TestSiftSpanJumpsDisjointSupports(t *testing.T) {
 	g := m.IncRef(achilles(m, vars[6:]))
 	wantF, wantG := evalAll(m, f, n), evalAll(m, g, n)
 
-	res := Sift(m, Options{Converge: true})
+	res := Sift(m)
 	if res.InteractionSkips == 0 {
 		t.Fatalf("no span jump across the disjoint group: %+v", res)
 	}
@@ -186,7 +192,8 @@ func TestSiftSpanJumpsDisjointSupports(t *testing.T) {
 }
 
 // TestSiftRandomized cross-checks sifting against evaluation snapshots
-// over randomized DAGs and option combinations.
+// over randomized DAGs and configurations: growth bounds, single and
+// converging passes, and the unpruned and full-cost reference searches.
 func TestSiftRandomized(t *testing.T) {
 	const n = 9
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -224,12 +231,16 @@ func TestSiftRandomized(t *testing.T) {
 		for i, f := range roots {
 			want[i] = evalAll(m, f, n)
 		}
-		res := Sift(m, Options{
-			MaxGrowth:     1.1 + float64(seed%3)/10,
-			Converge:      seed%2 == 0,
-			NoInteraction: seed%3 == 0,
-			NoLowerBound:  seed%5 == 0,
-		})
+		cfg := config{
+			maxGrowth:     1.1 + float64(seed%3)/10,
+			passes:        1,
+			noInteraction: seed%3 == 0,
+			noLowerBound:  seed%5 == 0,
+		}
+		if seed%2 == 0 {
+			cfg.passes = defaults.passes
+		}
+		res := sift(m, cfg)
 		if res.After > res.Before {
 			t.Fatalf("seed %d: sifting grew the manager %d -> %d", seed, res.Before, res.After)
 		}
@@ -285,7 +296,7 @@ func BenchmarkSiftSession(b *testing.B) {
 		m := bdd.New()
 		siftForest(m, m.NewVars(64), 9, 40)
 		b.StartTimer()
-		res := Sift(m, Options{Converge: true})
+		res := Sift(m)
 		swaps += res.Swaps
 		ns += m.Stats().ReorderTime.Nanoseconds()
 	}

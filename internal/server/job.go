@@ -39,10 +39,10 @@ import (
 // deadline.
 type JobOptions struct {
 	// Image selects the image-computation engine ("", "auto",
-	// "monolithic", "partitioned", "clustered", "iso").
+	// "monolithic", "clustered", "iso"); Submit rejects any other value.
 	Image string `json:"image,omitempty"`
 	// Reorder selects the dynamic-reordering policy ("", "off",
-	// "manual", "auto").
+	// "manual", "auto"); Submit rejects any other value.
 	Reorder string `json:"reorder,omitempty"`
 	// ConeOfInfluence enables per-property cone-of-influence reduction.
 	ConeOfInfluence bool `json:"coi,omitempty"`
@@ -253,5 +253,17 @@ func (r *Request) validate() error {
 	if r.Options.TimeoutMS < 0 {
 		return fmt.Errorf("negative timeout_ms %d", r.Options.TimeoutMS)
 	}
-	return nil
+	// Image and Reorder are client strings that also end up as metric
+	// labels: reject unknown values here, not inside a worker.
+	return r.Options.coreOptions(nil).Validate()
+}
+
+// coreOptions maps the job options onto the verification flow's.
+func (o JobOptions) coreOptions(scope *telemetry.Scope) core.Options {
+	return core.Options{
+		Image:           o.Image,
+		Reorder:         o.Reorder,
+		ConeOfInfluence: o.ConeOfInfluence,
+		Telemetry:       scope,
+	}
 }

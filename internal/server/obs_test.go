@@ -343,3 +343,55 @@ func TestEngineLatencyFolded(t *testing.T) {
 		t.Error("exposition is missing the per-engine fixpoint family")
 	}
 }
+
+// TestUnknownOptionsRejectedAtSubmission checks that an unknown image
+// engine or reorder policy is a 400 at submission, and that no such
+// client string ever becomes a metric label: the per-engine families
+// are keyed by the parsed engine kind.
+func TestUnknownOptionsRejectedAtSubmission(t *testing.T) {
+	s, base := newTestServer(t, Config{Workers: 1})
+
+	bad := []string{"bogus-1", "bogus-2", "partitioned"}
+	for _, img := range bad {
+		_, resp := postJob(t, base, Request{Builtin: "pingpong", PIF: "-", Options: JobOptions{Image: img}})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("image %q: status %d, want 400", img, resp.StatusCode)
+		}
+	}
+	_, resp := postJob(t, base, Request{Builtin: "pingpong", PIF: "-", Options: JobOptions{Reorder: "bogus-3"}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("reorder bogus-3: status %d, want 400", resp.StatusCode)
+	}
+
+	// One good job, so the per-engine families have a child to show.
+	v, _ := postJob(t, base, Request{Builtin: "pingpong", PIF: "-", Options: JobOptions{Reach: true}})
+	if got := waitTerminal(t, base, v.ID, 30*time.Second); got.Status != StatusDone {
+		t.Fatalf("job: %s (%s)", got.Status, got.Error)
+	}
+	bad = append(bad, "bogus-3")
+	auto := false
+	for _, ls := range s.Registry().HistogramSnapshots() {
+		for _, b := range bad {
+			if ls.Value == b {
+				t.Errorf("%s has a %q child", ls.Name, b)
+			}
+		}
+		auto = auto || (ls.Name == "hsis_fixpoint_iteration_seconds" && ls.Value == "auto")
+	}
+	if !auto {
+		t.Error(`the default job was not folded into engine="auto"`)
+	}
+	for _, url := range []string{base + "/metrics", base + "/metrics?format=prom"} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, b := range bad {
+			if strings.Contains(string(body), b) {
+				t.Errorf("%s shows %q", url, b)
+			}
+		}
+	}
+}

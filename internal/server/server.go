@@ -13,6 +13,7 @@ import (
 	"hsis/internal/bdd"
 	"hsis/internal/core"
 	"hsis/internal/designs"
+	"hsis/internal/reach"
 	"hsis/internal/telemetry"
 )
 
@@ -386,12 +387,12 @@ func tenantLabel(tenant string) string {
 	return tenant
 }
 
-// engineLabel maps the image-engine option to its metrics label.
+// engineLabel maps the image-engine option (validated at submission)
+// to its metrics label, the parsed kind's name, so the label set is the
+// engine set whatever the client sent.
 func engineLabel(image string) string {
-	if image == "" {
-		return "auto"
-	}
-	return image
+	kind, _ := reach.ParseEngineKind(image)
+	return kind.String()
 }
 
 // runWithDeadline arms the job's deadline and maps the verification
@@ -471,12 +472,7 @@ func (s *Server) runVerification(j *Job) (res *Result, err error) {
 		return nil, err
 	}
 
-	ws, err := d.Instantiate(core.Options{
-		Image:           j.req.Options.Image,
-		Reorder:         j.req.Options.Reorder,
-		ConeOfInfluence: j.req.Options.ConeOfInfluence,
-		Telemetry:       j.scope,
-	})
+	ws, err := d.Instantiate(j.req.Options.coreOptions(j.scope))
 	if err != nil {
 		return nil, err
 	}

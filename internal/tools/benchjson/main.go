@@ -10,11 +10,8 @@
 //
 // Rows with twin configurations get derived ratios: every ".../iso" row
 // with a ".../clustered" twin gains speedup-vs-clustered, and every
-// ".../auto" reorder row with an ".../auto-naive" twin (the same auto
-// sifting with all accelerations disabled) gains sift-speedup-vs-naive
-// (naive sift-ms over accelerated sift-ms) and swaps-saved-% (the share
-// of the naive sifter's adjacent-level swaps the accelerations
-// avoided), plus speedup-vs-off against the no-reordering twin.
+// ".../auto" reorder row gains speedup-vs-off against its no-reordering
+// twin and the sift ratios against a replayed ".../auto-prechange" row.
 package main
 
 import (
@@ -62,8 +59,8 @@ func addSpeedups(results []result) {
 	}
 }
 
-// addReorderMetrics derives the sifting-acceleration ratios on every
-// ".../auto" row from its ".../auto-naive" and ".../off" twins. Names
+// addReorderMetrics derives the sifting ratios on every ".../auto" row
+// from its ".../auto-prechange" and ".../off" twins. Names
 // are compared with any "-<procs>" suffix `go test -bench` appends at
 // GOMAXPROCS > 1 stripped.
 func addReorderMetrics(results []result) {
@@ -90,14 +87,6 @@ func addReorderMetrics(results []result) {
 				r.Metrics = make(map[string]float64)
 			}
 			r.Metrics[k] = v
-		}
-		if naive, ok := byBase[base+"-naive"]; ok && naive.Metrics != nil && r.Metrics != nil {
-			if nms, ams := naive.Metrics["sift-ms"], r.Metrics["sift-ms"]; ams > 0 {
-				set("sift-speedup-vs-naive", nms/ams)
-			}
-			if nsw, asw := naive.Metrics["swaps"], r.Metrics["swaps"]; nsw > 0 {
-				set("swaps-saved-%", 100*(1-asw/nsw))
-			}
 		}
 		// A ".../auto-prechange" twin is a row replayed from the revision
 		// before the acceleration work (the Makefile splices the recorded

@@ -23,6 +23,7 @@ type designRun struct {
 	reachNodes int
 	iterations int
 	verdicts   map[string]bool
+	reorders   int // sifting sessions the whole run performed
 }
 
 // runDesignCfg loads and verifies one design with the given options and
@@ -65,6 +66,7 @@ func runDesignCfg(t *testing.T, name string, opts core.Options, tweak func(*bdd.
 		}
 		run.verdicts[key] = r.Pass
 	}
+	run.reorders = m.Stats().Reorders
 	return run
 }
 
@@ -97,16 +99,17 @@ func sameRun(t *testing.T, got, want designRun) {
 //   - gcstress: a 4096-node GC threshold, so collections fire constantly
 //     mid-fixpoint, against the default threshold;
 //   - autosift: growth-triggered auto-sifting inside every check,
-//     against a second identical auto-sift run.
+//     against a second identical auto-sift run. It must actually sift
+//     on dcnew and mdlc2 (pingpong stays below the trigger's floor).
 //
 // Either pair disagreeing on a state count, an iteration count, a
 // verdict or the reached-set node count would mean GC or sifting
-// changed a result. autosift compares auto with auto, not with
-// reordering off: dcnew's deliver_live verdict under auto sifting is a
-// known, separate defect.
+// changed a result, or that sifting is not deterministic. Verdicts
+// under sifting against reordering off are core's
+// TestSiftKeepsFairnessLive.
 func TestWorkersDeterminismStress(t *testing.T) {
 	gcStress := func(m *bdd.Manager) { m.SetGCThreshold(4096) }
-	autoSift := core.Options{Reorder: "auto", ReorderTrigger: 1.3}
+	autoSift := core.Options{Reorder: "auto"}
 	variants := []struct {
 		name         string
 		base, stress func(t *testing.T, name string) designRun
@@ -131,7 +134,11 @@ func TestWorkersDeterminismStress(t *testing.T) {
 					if testing.Short() && name == "mdlc2" {
 						t.Skip("skipping large design in -short mode")
 					}
-					sameRun(t, v.stress(t, name), v.base(t, name))
+					got := v.stress(t, name)
+					sameRun(t, got, v.base(t, name))
+					if v.name == "autosift" && name != "pingpong" && got.reorders == 0 {
+						t.Errorf("auto sifting never fired on %s", name)
+					}
 				})
 			}
 		})
