@@ -1,13 +1,17 @@
 # Developer convenience targets. `make check` is the full pre-commit
-# gate: vet, build, race-enabled tests (which cover the armed-telemetry
+# gate: formatting, vet, build, race-enabled tests (which cover the armed-telemetry
 # paths, including the background live-node sampler), a one-iteration
 # smoke run of the kernel benchmarks, and a traced end-to-end shell run.
 
 GO ?= go
 
-.PHONY: check vet build test test-server lint-metrics bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke bench bench-server bench-reorder bench-iso bench-all
+.PHONY: check fmt vet build test test-server lint-metrics bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke bench bench-server bench-reorder bench-iso bench-all
 
-check: vet build test test-server lint-metrics bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke
+check: fmt vet build test test-server lint-metrics bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke
+
+# Fails when any Go file is not gofmt-clean, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -98,18 +102,17 @@ bench-reorder:
 		cat bench/reorder_prechange.txt 2>/dev/null || true) \
 		| $(GO) run ./internal/tools/benchjson > BENCH_reorder.json
 
-# One cold iteration of the iso-vs-clustered contest on the generated
-# philos-16: catches an isomorphism-detection or permutation-instantiation
+# One cold iteration of the plan benchmark on the generated philos-16:
+# catches an isomorphism-detection or permutation-instantiation
 # regression without paying for the full scaled sweep.
 bench-iso-smoke:
 	$(GO) test -bench='BenchmarkIso/philos-16' -benchtime=1x -run='^$$' .
 
-# Isomorphism-exploiting image computation vs the clustered pipeline on
-# the parameterized ring designs (philos-16/64, scheduler-32) and the
-# bundled low-replication designs, recorded to BENCH_iso.json. benchjson
-# adds a speedup-vs-clustered ratio to every iso row. Cold single
-# iterations: the GC-surviving op caches make warm repeats nearly free,
-# and the compile phase is the contest.
+# The network's one image plan (compile plus replay) on the
+# parameterized ring designs (philos-16/64, scheduler-32), where it is
+# iso-instantiated, recorded to BENCH_iso.json, one row per design. Cold single iterations: the
+# GC-surviving op caches make warm repeats nearly free, and the compile
+# phase is part of what is measured.
 bench-iso:
 	$(GO) test -bench='BenchmarkIso$$' -benchtime=1x -timeout=30m -run='^$$' . \
 		| tee /dev/stderr \

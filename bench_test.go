@@ -305,6 +305,7 @@ func BenchmarkPartitionedTR(b *testing.B) {
 	})
 	b.Run("clustered", func(b *testing.B) {
 		n := build(true)
+		n.ImagePlan() // the one-off plan compile is not a replay
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			res := reach.Forward(n, reach.Options{Engine: reach.EngineClustered})
@@ -315,11 +316,13 @@ func BenchmarkPartitionedTR(b *testing.B) {
 	})
 }
 
-// BenchmarkImage compares the monolithic T with the clustered engine's
-// precompiled quantification schedule on full forward reachability plus a
-// preimage sweep (the Image/Preimage alternation is what used to thrash
-// the cube-keyed quantifier caches). Reports peak live BDD nodes and
-// the combined quantifier/and-exists cache hit rate.
+// BenchmarkImage compares the monolithic T with the replay of the
+// network's precompiled quantification schedule on full forward
+// reachability plus a preimage sweep (the Image/Preimage alternation is
+// what used to thrash the cube-keyed quantifier caches). Both relations
+// are built before the timer starts, so the rows time replays, not the
+// one-off compiles. Reports peak live BDD nodes and the combined
+// quantifier/and-exists cache hit rate.
 func BenchmarkImage(b *testing.B) {
 	engines := []struct {
 		label string
@@ -335,6 +338,11 @@ func BenchmarkImage(b *testing.B) {
 			b.Run(name+"/"+eng.label, func(b *testing.B) {
 				w := load(b, name, core.Options{})
 				n := w.Net
+				if eng.kind == reach.EngineClustered {
+					n.ImagePlan() // compiles the image/preimage pair
+				} else {
+					n.EnsureT()
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res := reach.Forward(n, reach.Options{Engine: eng.kind})
@@ -359,62 +367,48 @@ func BenchmarkImage(b *testing.B) {
 	}
 }
 
-// BenchmarkIso compares the isomorphism-exploiting engine against the
-// clustered pipeline it extends: full forward reachability plus a
-// preimage of the fixpoint, over scaled ring designs where every latch
-// cone is a replica (philos-N, scheduler-N) and over bundled designs
-// with little (mdlc2: three pairs) or no (gigamax) replication, where
-// iso must not regress. Both engines run with the monolithic relation
-// skipped — the contest is cluster compilation + schedule replay, and
-// iso's edge is compiling each class once and instantiating replicas by
-// variable permutation. Run with -benchtime=1x: the warm op caches make
-// repeat iterations nearly free, so only a cold run measures the
-// compile phase honestly. benchjson derives a speedup-vs-clustered
-// ratio for every design from the paired rows of BENCH_iso.json. Iso
-// rows report plan-steps, the AndExists steps of one image replay; one
-// extra row times a fair hull over scheduler-32's reached set.
+// BenchmarkIso times the network's one image plan, compile included,
+// on full forward reachability plus a preimage of the fixpoint, over
+// scaled ring designs where every latch cone is a replica (philos-N,
+// scheduler-N) and so the plan replays iso-instantiated clusters merged
+// across replicas. These designs never build the monolithic relation.
+// Designs without enough replication run on T, which BenchmarkImage
+// covers. Run with -benchtime=1x: the warm
+// op caches make repeat iterations nearly free, so only a cold run
+// measures the compile phase honestly. Rows report plan-steps, the
+// AndExists steps of one image replay; one extra row times a fair hull
+// over scheduler-32's reached set.
 func BenchmarkIso(b *testing.B) {
-	for _, name := range []string{"philos-16", "philos-64", "scheduler-32", "mdlc2", "gigamax"} {
+	for _, name := range []string{"philos-16", "philos-64", "scheduler-32"} {
 		name := name
-		for _, eng := range []struct {
-			label string
-			kind  reach.EngineKind
-		}{
-			{"clustered", reach.EngineClustered},
-			{"iso", reach.EngineIso},
-		} {
-			eng := eng
-			b.Run(name+"/"+eng.label, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					w := load(b, name, core.Options{Image: eng.label})
-					n := w.Net
-					b.StartTimer()
-					res := reach.Forward(n, reach.Options{Engine: eng.kind})
-					if !res.Converged {
-						b.Fatal("diverged")
-					}
-					e := reach.Engine(n, eng.kind)
-					if e.Preimage(res.Reached) == bdd.False {
-						b.Fatal("empty preimage of reached set")
-					}
-					b.StopTimer()
-					st := n.Manager().Stats()
-					for metric, v := range st.BenchMetrics() {
-						b.ReportMetric(v, metric)
-					}
-					if eng.kind == reach.EngineIso {
-						s := n.IsoSummaryInfo()
-						b.ReportMetric(float64(s.Classes), "iso-classes")
-						b.ReportMetric(float64(s.Replicated), "iso-latches")
-						b.ReportMetric(float64(st.PermCalls), "perm-calls")
-						b.ReportMetric(100*st.PermHitRate(), "perm-hit-%")
-						b.ReportMetric(float64(s.ImageSteps), "plan-steps")
-					}
-					b.StartTimer()
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w := load(b, name, core.Options{})
+				n := w.Net
+				b.StartTimer()
+				res := reach.Forward(n, reach.Options{Engine: reach.EngineClustered})
+				if !res.Converged {
+					b.Fatal("diverged")
 				}
-			})
-		}
+				e := reach.Engine(n, reach.EngineClustered)
+				if e.Preimage(res.Reached) == bdd.False {
+					b.Fatal("empty preimage of reached set")
+				}
+				b.StopTimer()
+				st := n.Manager().Stats()
+				for metric, v := range st.BenchMetrics() {
+					b.ReportMetric(v, metric)
+				}
+				s := n.IsoSummaryInfo()
+				b.ReportMetric(float64(s.Classes), "iso-classes")
+				b.ReportMetric(float64(s.Replicated), "iso-latches")
+				b.ReportMetric(float64(st.PermCalls), "perm-calls")
+				b.ReportMetric(100*st.PermHitRate(), "perm-hit-%")
+				b.ReportMetric(float64(s.ImageSteps), "plan-steps")
+				b.StartTimer()
+			}
+		})
 	}
 	// The fair hull of scheduler-32 under its design fairness (one
 	// negative-state constraint per cell): nested preimage fixpoints over
@@ -422,14 +416,14 @@ func BenchmarkIso(b *testing.B) {
 	b.Run("scheduler-32/fair-hull", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			w := load(b, "scheduler-32", core.Options{Image: "iso"})
+			w := load(b, "scheduler-32", core.Options{})
 			n := w.Net
-			res := reach.Forward(n, reach.Options{Engine: reach.EngineIso})
+			res := reach.Forward(n, reach.Options{})
 			if !res.Converged {
 				b.Fatal("diverged")
 			}
 			b.StartTimer()
-			hull := emptiness.FairStates(sys.FromNetworkEngine(n, reach.EngineIso), w.FC, res.Reached)
+			hull := emptiness.FairStates(sys.FromNetwork(n), w.FC, res.Reached)
 			b.StopTimer()
 			if hull.Fair == bdd.False {
 				b.Fatal("empty fair hull")

@@ -26,15 +26,17 @@
 //	trace on [file.jsonl] / trace off
 //	quit
 //
-// Flags: -image auto|monolithic|clustered|iso selects the
-// image-computation engine (iso compiles clusters once per class of
-// isomorphic latch cones and instantiates replicas by variable
-// permutation; auto picks it whenever a design has enough replication,
-// and then never builds the monolithic relation); -reorder
-// off|manual|auto selects the dynamic-reordering policy for designs
-// loaded afterwards (every sift runs the one reorder.Sift
-// configuration); -order <file> seeds the variable order
-// from a saved .order file (written by write_order); -stats prints BDD
+// The image engine is chosen by the design, not by a flag: a design
+// with enough replicated latch cones replays one plan whose clusters are
+// compiled once per class of isomorphic cones and instantiated per
+// replica by variable permutation, and never builds the monolithic
+// relation; every other design builds T and images through it
+// (print_stats names the engine).
+//
+// Flags: -reorder off|manual|auto selects the dynamic-reordering policy
+// for designs loaded afterwards (every sift runs the one reorder.Sift
+// configuration); -order <file> seeds the variable order from a saved
+// .order file (written by write_order); -stats prints BDD
 // statistics after checking commands; -trace <file.jsonl> arms the
 // telemetry layer for the whole session and writes one JSON event per
 // line (fixpoint iterations, GCs, reorders, cache growth, node
@@ -266,20 +268,20 @@ func (sh *shell) exec(line string) error {
 		n := sh.w.Net
 		fmt.Fprintf(sh.out, "design %s: %d latches, %d state bits, %d tables, %d BDD nodes in manager\n",
 			sh.w.Name, len(n.Latches()), len(n.PSBits()), len(n.Conjuncts()), n.Manager().Size())
-		fmt.Fprintf(sh.out, "image engine: %s (requested %s)\n",
-			reach.Resolve(n, sh.w.Engine()), sh.w.Engine())
+		fmt.Fprintf(sh.out, "image engine: %s\n", reach.Resolve(n, reach.EngineAuto))
 		if n.TBuilt() {
 			fmt.Fprintf(sh.out, "transition relation: %d BDD nodes\n", n.Manager().NodeCount(n.T))
 		} else {
 			fmt.Fprintln(sh.out, "transition relation: not built")
 		}
-		if s := n.IsoSummaryInfo(); s.Classes > 0 {
+		s := n.IsoSummaryInfo()
+		if s.Classes > 0 {
 			fmt.Fprintf(sh.out, "isomorphic cones: %d classes covering %d/%d latches, sizes %v\n",
 				s.Classes, s.Replicated, len(n.Latches()), s.Sizes)
-			if s.Planned {
-				fmt.Fprintf(sh.out, "iso plan: clusters %d (largest %d BDD nodes), image steps %d, preimage steps %d\n",
-					s.Clusters, s.MaxClusterNodes, s.ImageSteps, s.PreimageSteps)
-			}
+		}
+		if s.Planned {
+			fmt.Fprintf(sh.out, "image plan: clusters %d (largest %d BDD nodes), image steps %d, preimage steps %d\n",
+				s.Clusters, s.MaxClusterNodes, s.ImageSteps, s.PreimageSteps)
 		}
 		n.Manager().Stats().WriteTable(sh.out)
 		if t := telemetry.T(); t != nil {

@@ -277,8 +277,8 @@ func TestShellSimStepWith(t *testing.T) {
 	}
 }
 
-// TestShellScaledDesignSkipsT drives a replicated design: auto resolves
-// to the iso engine, print_stats says so and reports T as not built,
+// TestShellScaledDesignSkipsT drives a replicated design: it images
+// through the network's plan, print_stats says so and reports T as not built,
 // write_dot leaves the T root out, and checking every property still
 // never builds T.
 func TestShellScaledDesignSkipsT(t *testing.T) {
@@ -292,7 +292,7 @@ func TestShellScaledDesignSkipsT(t *testing.T) {
 		"print_stats",
 	)
 	for _, want := range []string{
-		"image engine: iso (requested auto)",
+		"image engine: clustered\n",
 		"transition relation: not built",
 	} {
 		if strings.Count(out, want) != 2 {
@@ -309,25 +309,26 @@ func TestShellScaledDesignSkipsT(t *testing.T) {
 
 	sh, buf = newTestShell()
 	out = run(t, sh, buf, "read_builtin pingpong", "print_stats")
-	if !strings.Contains(out, "image engine: monolithic (requested auto)") ||
+	if !strings.Contains(out, "image engine: monolithic\n") ||
 		!strings.Contains(out, "transition relation: ") || strings.Contains(out, "not built") {
 		t.Fatalf("pingpong should build T under auto:\n%s", out)
 	}
 }
 
 // TestShellIsoPlanLine: after reachability on scheduler-64, print_stats
-// shows the shape of the iso plans — the cross-replica merge leaves one
-// cluster, so each direction replays a single step.
+// shows the shape of the network's plan — the cross-replica merge of the
+// iso-instantiated clusters leaves one cluster, so each direction
+// replays a single step.
 func TestShellIsoPlanLine(t *testing.T) {
 	sh, buf := newTestShell()
 	out := run(t, sh, buf, "read_builtin scheduler-64", "print_stats")
-	if strings.Contains(out, "iso plan:") {
-		t.Fatalf("print_stats compiled the iso plans before any image:\n%s", out)
+	if strings.Contains(out, "image plan:") {
+		t.Fatalf("print_stats compiled the image plans before any image:\n%s", out)
 	}
 	out = run(t, sh, buf, "compute_reach", "print_stats")
 	for _, want := range []string{
 		"isomorphic cones: 2 classes covering 128/128 latches",
-		"iso plan: clusters 1 (largest ",
+		"image plan: clusters 1 (largest ",
 		" BDD nodes), image steps 1, preimage steps 1\n",
 	} {
 		if !strings.Contains(out, want) {
@@ -337,18 +338,18 @@ func TestShellIsoPlanLine(t *testing.T) {
 }
 
 // TestParseFlags checks the command line goes through the binder shared
-// with table1, and that neither -workers nor the removed sifting tuning
-// flags are flags.
+// with table1, and that neither -workers, -image nor the removed sifting
+// tuning flags are flags.
 func TestParseFlags(t *testing.T) {
 	sh, cf, err := parseFlags([]string{
-		"-image", "iso", "-reorder", "auto",
+		"-reorder", "auto",
 		"-trace", "run.jsonl", "-profile", "prof", "-stats", "-order", "x.order",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := sh.opts
-	if o.Image != "iso" || o.Reorder != "auto" || o.OrderFile != "x.order" {
+	if o.Reorder != "auto" || o.OrderFile != "x.order" {
 		t.Fatalf("options not bound: %+v", o)
 	}
 	if !sh.stats || cf.Trace != "run.jsonl" || cf.Profile != "prof" {
@@ -358,11 +359,12 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.opts.Image != "auto" || sh.opts.Reorder != "off" {
+	if sh.opts.Reorder != "off" {
 		t.Fatalf("defaults: %+v", sh.opts)
 	}
 	for _, gone := range [][]string{
 		{"-workers", "2"},
+		{"-image", "iso"},
 		{"-reorder-accel", "none"},
 		{"-reorder-max-growth", "1.5"},
 		{"-reorder-trigger", "3"},

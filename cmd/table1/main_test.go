@@ -44,10 +44,11 @@ func TestMeasureUnknownDesign(t *testing.T) {
 
 // TestParseFlags checks the command line goes through the binder shared
 // with hsis, alongside the table1-only ablation switches, and that
-// neither -workers nor the removed sifting tuning flags are flags.
+// neither -workers, -image nor the removed sifting tuning flags are
+// flags.
 func TestParseFlags(t *testing.T) {
 	c, err := parseFlags([]string{
-		"-image", "clustered", "-reorder", "manual",
+		"-reorder", "manual",
 		"-trace", "t.jsonl", "-profile", "p",
 		"-design", "pingpong", "-quant", "naive", "-coi", "-early", "3",
 	})
@@ -55,7 +56,7 @@ func TestParseFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := c.opts
-	if o.Image != "clustered" || o.Reorder != "manual" {
+	if o.Reorder != "manual" {
 		t.Fatalf("shared options not bound: %+v", o)
 	}
 	if !o.NaiveQuantification || !o.ConeOfInfluence || o.EarlySteps != 3 || c.only != "pingpong" {
@@ -66,6 +67,7 @@ func TestParseFlags(t *testing.T) {
 	}
 	for _, gone := range [][]string{
 		{"-workers", "2"},
+		{"-image", "clustered"},
 		{"-reorder-accel", "none"},
 		{"-reorder-max-growth", "1.3"},
 		{"-reorder-trigger", "2.5"},

@@ -12,7 +12,6 @@ import (
 	"hsis/internal/network"
 	"hsis/internal/order"
 	"hsis/internal/pif"
-	"hsis/internal/reach"
 )
 
 // CompiledDesign is the read-only frontend artifact of one design: the
@@ -129,8 +128,7 @@ func (d *CompiledDesign) appendedOrder() []string {
 // jobs share the parsed design, never the BDD state.
 func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 	start := time.Now()
-	engine, err := opts.imageEngine()
-	if err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	nopts := opts.networkOptions()
@@ -150,7 +148,7 @@ func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 			return nil, err
 		}
 	}
-	net, err := buildNetwork(d.flat, nopts, engine)
+	net, err := buildNetwork(d.flat, nopts)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +156,6 @@ func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 		Name:         d.Name,
 		Net:          net,
 		FC:           &fair.Constraints{},
-		engine:       engine,
 		VerilogLines: d.VerilogLines,
 		BlifmvLines:  d.BlifmvLines,
 		opts:         opts,
@@ -179,23 +176,22 @@ func (d *CompiledDesign) Instantiate(opts Options) (*Workspace, error) {
 	return w, nil
 }
 
-// buildNetwork compiles a flat model for a workspace with the given
-// image engine. It decides, in one place for full designs and
-// cone-of-influence reductions alike, whether to multiply out the
-// monolithic T: only for the monolithic engine, and for auto when the
-// design has too little replication for the iso pipeline to pay
+// buildNetwork compiles a flat model for a workspace. It decides, in one
+// place for full designs and cone-of-influence reductions alike, whether
+// to multiply out the monolithic T: only when the design has too little
+// replication for the iso-instantiated plan to pay
 // (network.IsoWorthwhile). On a replicated design every layer — images,
 // the edge-restricted CTL operators, language-containment products —
-// replays iso plans instead, and T, by far the largest BDD such a
+// replays the network's plan instead, and T, by far the largest BDD such a
 // design ever builds, is never formed. On the others T is small and its
 // single AndExists per image beats any plan replay.
-func buildNetwork(flat *blifmv.Model, nopts network.Options, engine reach.EngineKind) (*network.Network, error) {
+func buildNetwork(flat *blifmv.Model, nopts network.Options) (*network.Network, error) {
 	nopts.SkipMonolithic = true
 	net, err := network.Build(flat, nopts)
 	if err != nil {
 		return nil, err
 	}
-	if engine == reach.EngineMonolithic || (engine == reach.EngineAuto && !net.IsoWorthwhile()) {
+	if !net.IsoWorthwhile() {
 		net.EnsureT()
 	}
 	return net, nil

@@ -81,7 +81,7 @@ func TestInstantiateValidatesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []Options{{Image: "bogus"}, {Image: "partitioned"}, {Reorder: "bogus"}} {
+	for _, bad := range []Options{{Reorder: "bogus"}, {Reorder: "partitioned"}} {
 		if _, err := art.Instantiate(bad); err == nil {
 			t.Errorf("Instantiate accepted %+v", bad)
 		}
@@ -89,9 +89,9 @@ func TestInstantiateValidatesOptions(t *testing.T) {
 			t.Errorf("Validate accepted %+v", bad)
 		}
 	}
-	for _, img := range []string{"", "auto", "monolithic", "clustered", "iso"} {
-		if err := (Options{Image: img, Reorder: "auto"}).Validate(); err != nil {
-			t.Errorf("image %q: %v", img, err)
+	for _, policy := range []string{"", "off", "manual", "auto"} {
+		if err := (Options{Reorder: policy}).Validate(); err != nil {
+			t.Errorf("reorder %q: %v", policy, err)
 		}
 	}
 }

@@ -57,14 +57,6 @@ type Options struct {
 	// .order file if it exists and matches the model; otherwise the
 	// static interacting-FSM order is used. SaveOrder writes the file.
 	OrderFile string
-	// Image selects the image-computation engine for reachability and
-	// invariance checking: "" or "auto" (iso on designs with enough
-	// replicated latch cones, monolithic otherwise), "monolithic",
-	// "clustered", or "iso" (falls back to clustered on
-	// designs with no replication). The monolithic product relation T is
-	// built only when the resolved engine is monolithic; otherwise every
-	// check, CTL and language containment alike, replays image plans.
-	Image string
 	// Workers is accepted and ignored. The BDD kernel is sequential and
 	// VerifyAll checks properties one after another whatever its value;
 	// parallelism comes from running jobs on separate workspaces (the
@@ -90,9 +82,6 @@ type Workspace struct {
 	CTLProps []pif.CTLProp
 	Automata []*pif.AutSpec
 
-	// engine is the parsed Options.Image selection.
-	engine reach.EngineKind
-
 	// fairSpecs keeps the syntactic fairness constraints so abstracted
 	// (cone-of-influence) networks can recompile them.
 	fairSpecs []pif.FairSpec
@@ -110,27 +99,15 @@ type Workspace struct {
 	opts Options
 }
 
-// Validate reports an unknown reorder policy or image engine, the two
-// string-typed options. Instantiate checks them too; the daemon calls
-// Validate at submission so a bad request never reaches a worker.
+// Validate reports an unknown reorder policy, the one string-typed
+// option. Instantiate checks it too; the daemon calls Validate at
+// submission so a bad request never reaches a worker.
 func (o Options) Validate() error {
-	_, err := o.imageEngine()
-	return err
-}
-
-// imageEngine validates the string-typed options and returns the
-// parsed image engine.
-func (o Options) imageEngine() (reach.EngineKind, error) {
 	switch o.Reorder {
 	case "", "off", "manual", "auto":
-	default:
-		return 0, fmt.Errorf("core: unknown reorder policy %q (want off, manual or auto)", o.Reorder)
+		return nil
 	}
-	engine, ok := reach.ParseEngineKind(o.Image)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown image engine %q (want auto, monolithic, clustered or iso)", o.Image)
-	}
-	return engine, nil
+	return fmt.Errorf("core: unknown reorder policy %q (want off, manual or auto)", o.Reorder)
 }
 
 // networkOptions derives the symbolic-compilation options shared by a
@@ -241,7 +218,7 @@ func (w *Workspace) coneWorkspace(observed []string) (*Workspace, *abstract.Resu
 	if cached, ok := w.coneCache[key]; ok {
 		return cached, res, nil
 	}
-	net, err := buildNetwork(res.Model, w.opts.networkOptions(), w.engine)
+	net, err := buildNetwork(res.Model, w.opts.networkOptions())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -253,7 +230,6 @@ func (w *Workspace) coneWorkspace(observed []string) (*Workspace, *abstract.Resu
 		Name:      w.Name + "+coi",
 		Net:       net,
 		FC:        fc,
-		engine:    w.engine,
 		fairSpecs: w.fairSpecs,
 		opts:      w.opts,
 	}
@@ -330,7 +306,7 @@ func (w *Workspace) SaveOrder(path string) error {
 // ReachableStates computes (and caches via the checker) the reachable
 // state count — the paper's "# reached states" column.
 func (w *Workspace) ReachableStates() float64 {
-	res := reach.Forward(w.Net, reach.Options{Engine: w.engine})
+	res := reach.Forward(w.Net, reach.Options{})
 	return w.Net.NumStates(res.Reached)
 }
 
@@ -339,7 +315,7 @@ func (w *Workspace) ReachableStates() float64 {
 // precision once a space exceeds 2^53 states, which parameterized
 // designs (philos-64 and up) do comfortably.
 func (w *Workspace) ReachableStatesExact() *big.Int {
-	res := reach.Forward(w.Net, reach.Options{Engine: w.engine})
+	res := reach.Forward(w.Net, reach.Options{})
 	return w.Net.NumStatesExact(res.Reached)
 }
 
@@ -358,10 +334,6 @@ func (w *Workspace) Interrupt() {
 	w.coneMu.Unlock()
 }
 
-// Engine reports the workspace's image-engine selection (parsed from
-// Options.Image).
-func (w *Workspace) Engine() reach.EngineKind { return w.engine }
-
 // CheckCTL verifies one CTL property.
 func (w *Workspace) CheckCTL(p pif.CTLProp) *PropertyResult {
 	start := time.Now()
@@ -378,7 +350,6 @@ func (w *Workspace) CheckCTL(p pif.CTLProp) *PropertyResult {
 	// Every CTL route, the fair edge-restricted operators included, runs
 	// on the workspace's image engine; nothing here builds T.
 	checker := ctl.NewForNetwork(w.Net, w.FC)
-	checker.Engine = w.engine
 	out := &PropertyResult{Name: p.Name, Kind: KindCTL, Formula: p.Formula}
 	f := p.Formula
 	if w.opts.DisableInvariantFastPath {

@@ -249,7 +249,10 @@ func TestAutoBuildsTOnlyWithoutReplication(t *testing.T) {
 	}
 	for _, name := range []string{"philos-4", "scheduler-8"} {
 		auto := loadDesign(t, name, Options{})
-		mono := loadDesign(t, name, Options{Image: "monolithic"})
+		// The monolithic reference: the same network with T built, so
+		// every image resolves to it.
+		mono := loadDesign(t, name, Options{})
+		mono.Net.EnsureT()
 		if auto.Net.TBuilt() || !mono.Net.TBuilt() {
 			t.Fatalf("%s: TBuilt auto=%v monolithic=%v", name, auto.Net.TBuilt(), mono.Net.TBuilt())
 		}
@@ -281,17 +284,6 @@ func TestMdlc2AutoSiftMatchesReorderOff(t *testing.T) {
 	matchReorderOff(t, Options{Reorder: "auto", Workers: 2}, "under auto sifting")
 }
 
-// TestMdlc2ExplicitIsoMatchesReorderOff: an explicit -image iso on mdlc2
-// (three replicated pairs, below the IsoWorthwhile bar) replays the
-// per-replica clusters without the cross-replica merge and must give
-// reorder-off's exact state count and verdicts.
-func TestMdlc2ExplicitIsoMatchesReorderOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mdlc2 verification is slow")
-	}
-	matchReorderOff(t, Options{Image: "iso"}, "under explicit iso")
-}
-
 // verifyMdlc2 returns mdlc2's exact reachable-state count and every
 // verdict under opts.
 func verifyMdlc2(t *testing.T, opts Options) (string, map[string]bool) {
@@ -306,8 +298,8 @@ func verifyMdlc2(t *testing.T, opts Options) (string, map[string]bool) {
 		verdicts[string(r.Kind)+"/"+r.Name] = r.Pass
 	}
 	st := w.Net.Manager().Stats()
-	t.Logf("reorder %q, image %q: %s states, %v, peak %d live nodes, %d sifts",
-		opts.Reorder, opts.Image, states, verdicts, st.PeakLive, st.Reorders)
+	t.Logf("reorder %q: %s states, %v, peak %d live nodes, %d sifts",
+		opts.Reorder, states, verdicts, st.PeakLive, st.Reorders)
 	return states, verdicts
 }
 

@@ -11,12 +11,10 @@ type CLIFlags struct {
 }
 
 // BindFlags registers the verification flags that the hsis and table1
-// commands share on fs: -image, -reorder, -trace and -profile. Parsing
+// commands share on fs: -reorder, -trace and -profile. Parsing
 // fs fills the matching fields of opts and of the returned CLIFlags;
 // flags left unset keep the defaults shown in the usage text.
 func BindFlags(fs *flag.FlagSet, opts *Options) *CLIFlags {
-	fs.StringVar(&opts.Image, "image", "auto",
-		"image-computation engine: auto, monolithic, clustered or iso")
 	fs.StringVar(&opts.Reorder, "reorder", "off",
 		"dynamic variable reordering policy: off, manual or auto")
 	cf := &CLIFlags{}

@@ -18,9 +18,6 @@ type Checker struct {
 	FC *fair.Constraints
 	// Label resolves an atom var=value to its present-state set.
 	Label func(name, value string) (bdd.Ref, error)
-	// Engine selects the image-computation strategy for the invariance
-	// fast path's reachability run (EngineAuto by default).
-	Engine reach.EngineKind
 
 	net *network.Network // non-nil when built from a network (fast path)
 
@@ -124,7 +121,6 @@ func (c *Checker) checkInvariant(f, p Formula) (*Verdict, error) {
 	step := 0
 	failStep := -1
 	res := reach.Forward(c.net, reach.Options{
-		Engine: c.Engine,
 		Stop: func(reached bdd.Ref) bool {
 			if m.And(reached, bad) != bdd.False {
 				failStep = step

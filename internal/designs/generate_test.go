@@ -114,4 +114,3 @@ func TestGeneratedNames(t *testing.T) {
 		t.Error("generated design has no properties")
 	}
 }
-

@@ -9,3 +9,8 @@ func (n *Network) IsoInstantiatedClusters() []quant.Conjunct {
 	n.ensureIsoDetect()
 	return n.instantiateIsoClusters()
 }
+
+// Plans returns the last compiled image/preimage pair without compiling
+// one: nil before the first replay, and after a reorder session the pair
+// of the earlier epoch until the next replay recompiles it.
+func (n *Network) Plans() (img, pre *quant.CompiledPlan) { return n.imgPlan, n.prePlan }

@@ -15,9 +15,11 @@ package network
 // once more across replicas under the cluster limit, and one global
 // quantification schedule is then compiled over the result.
 //
-// Detection is purely structural and order-independent, so it is done
-// once per network; the compiled plans are epoch-stamped like the
-// clustered ones and re-derived after a reorder session. Candidate
+// That merged set is the network's one cluster set (ImageClusters):
+// the image plans, T and the language-containment products all read
+// it. Detection is purely structural and order-independent, so it is
+// done once per network; the cluster set is epoch-stamped and
+// re-derived after a reorder session (network.go). Candidate
 // classes are verified semantically before use: a member is accepted
 // only if permuting every owned conjunct of the representative yields
 // exactly the member's conjunct, so a false structural match degrades
@@ -58,33 +60,25 @@ type IsoClass struct {
 	local []int
 }
 
-// isoState caches detection results (immutable once computed) and the
-// compiled iso pipeline (epoch-stamped, rebuilt after reorders).
+// isoState caches detection results (immutable once computed).
 type isoState struct {
 	detected    bool
 	classes     []*IsoClass
 	shared      []int // conjunct indices owned by no class member
 	sharedLocal []int
-
-	built           bool
-	epoch           int
-	clusters        []quant.Conjunct // the clusters the plans replay; refs held
-	maxClusterNodes int              // node count of the largest cluster
-	imgPlan         *quant.CompiledPlan
-	prePlan         *quant.CompiledPlan
 }
 
-// IsoSummary reports detection results and, once the iso plans are
-// compiled, their shape for stats output.
+// IsoSummary reports detection results and, once the network's image
+// plans are compiled, their shape for stats output.
 type IsoSummary struct {
 	Classes    int   // equivalence classes with ≥2 members
 	Replicated int   // latches covered by those classes
 	Sizes      []int // member count per class, largest first
 
-	// Planned reports whether the plans below have been compiled; the
-	// remaining fields are zero until then.
+	// Planned reports whether the network's image plans have been
+	// compiled; the remaining fields are zero until then.
 	Planned         bool
-	Clusters        int // clusters the plans replay (after the cross-replica merge)
+	Clusters        int // clusters the plans replay (ImageClusters)
 	MaxClusterNodes int // node count of the largest of them
 	ImageSteps      int
 	PreimageSteps   int
@@ -467,61 +461,11 @@ func (n *Network) ensureIsoDetect() *isoState {
 	return n.iso
 }
 
-// ensureIsoPlans compiles (or, after a reorder session, recompiles) the
-// iso pipeline: per class, cluster the representative's conjuncts once
-// and instantiate every replica by permutation; cluster the shared pool
-// normally; merge the lot across replicas when IsoWorthwhile; then
-// compile one global quantification schedule per direction.
-func (n *Network) ensureIsoPlans() *isoState {
-	if n.iso == nil {
-		n.iso = &isoState{}
-	}
-	st := n.iso
-	if !st.detected {
-		n.detectIso()
-	}
-	if len(st.classes) == 0 {
-		return st
-	}
-	m := n.mgr
-	epoch := m.ReorderCount()
-	if st.built && st.epoch == epoch {
-		return st
-	}
-	if st.built {
-		st.imgPlan.Release(m)
-		st.prePlan.Release(m)
-		for _, c := range st.clusters {
-			m.DecRef(c.F)
-		}
-		st.clusters = nil
-	}
-	all := n.instantiateIsoClusters()
-	if n.IsoWorthwhile() {
-		all = n.mergeIsoClusters(all)
-	}
-	st.maxClusterNodes = 0
-	for _, c := range all {
-		m.IncRef(c.F)
-		st.maxClusterNodes = max(st.maxClusterNodes, m.NodeCount(c.F))
-	}
-	imgQ := append(append([]int(nil), n.nonState...), n.psBits...)
-	preQ := append(append([]int(nil), n.nonState...), n.nsBits...)
-	st.imgPlan = quant.Compile(m, all, n.psBits, imgQ)
-	st.prePlan = quant.Compile(m, all, n.nsBits, preQ)
-	st.imgPlan.Retain(m)
-	st.prePlan.Retain(m)
-	st.clusters = all
-	st.built = true
-	st.epoch = epoch
-	return st
-}
-
 // instantiateIsoClusters clusters each class's representative once,
 // instantiates every other replica by permutation, and clusters the
 // shared pool on its own. The result holds no references.
 func (n *Network) instantiateIsoClusters() []quant.Conjunct {
-	m, st := n.mgr, n.iso
+	m, st := n.mgr, n.ensureIsoDetect()
 	t := m.Telemetry()
 	var all []quant.Conjunct
 	for ci, cls := range st.classes {
@@ -592,19 +536,14 @@ func mapSupport(sup, sigma []int) []int {
 	return out
 }
 
-// IsoAvailable reports whether the network has at least one class of
-// two or more isomorphic latch cones (running detection on first call).
-func (n *Network) IsoAvailable() bool {
-	return len(n.ensureIsoDetect().classes) > 0
-}
-
-// IsoWorthwhile reports whether the iso pipeline is likely to beat the
-// plain clustered one: each class saves members−1 cluster compilations,
+// IsoWorthwhile reports whether the iso-instantiated cluster set is
+// likely to beat plain clustering: each class saves members−1 cluster compilations,
 // but splitting the conjuncts into per-member sets also constrains the
 // cluster merge, so a design with only a couple of replicated pairs
 // (mdlc2: three classes of two) pays more in worse clusters than it
-// saves in compiles. Auto-selection demands a few compiles actually
-// saved; an explicit EngineIso request overrides this.
+// saves in compiles. The network's cluster set, and whether the core
+// flow builds T at all, follow this one rule: a few compiles actually
+// saved.
 func (n *Network) IsoWorthwhile() bool {
 	saved := 0
 	for _, cls := range n.ensureIsoDetect().classes {
@@ -613,34 +552,9 @@ func (n *Network) IsoWorthwhile() bool {
 	return saved >= 4
 }
 
-// IsoImagePlan returns the isomorphism-compiled image schedule, or nil
-// when the network has no replication to exploit.
-func (n *Network) IsoImagePlan() *quant.CompiledPlan {
-	return n.ensureIsoPlans().imgPlan
-}
-
-// IsoPreimagePlan is the preimage counterpart of IsoImagePlan.
-func (n *Network) IsoPreimagePlan() *quant.CompiledPlan {
-	return n.ensureIsoPlans().prePlan
-}
-
-// ImageClusters returns the clustered partitioned transition relation
-// the default image engine replays: the iso-instantiated clusters,
-// merged across replicas, when IsoWorthwhile, the plain clusters
-// (ClusterConjuncts) otherwise. On a replicated design this is far
-// cheaper to compile than plain clustering, which merges every
-// replica's conjuncts from scratch.
-// The same caveats as ClusterConjuncts apply.
-func (n *Network) ImageClusters() []quant.Conjunct {
-	if n.IsoWorthwhile() {
-		return n.ensureIsoPlans().clusters
-	}
-	return n.ClusterConjuncts()
-}
-
 // IsoSummaryInfo reports detection results (classes sorted largest
-// first) and the shape of the last compiled iso plans for stats and CLI
-// output. It compiles nothing.
+// first) and the shape of the network's compiled image plans for stats
+// and CLI output. It compiles nothing.
 func (n *Network) IsoSummaryInfo() IsoSummary {
 	st := n.ensureIsoDetect()
 	s := IsoSummary{Classes: len(st.classes)}
@@ -649,12 +563,14 @@ func (n *Network) IsoSummaryInfo() IsoSummary {
 		s.Sizes = append(s.Sizes, len(cls.Latches))
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(s.Sizes)))
-	if st.built {
+	if n.imgPlan != nil {
 		s.Planned = true
-		s.Clusters = len(st.clusters)
-		s.MaxClusterNodes = st.maxClusterNodes
-		s.ImageSteps = len(st.imgPlan.Steps)
-		s.PreimageSteps = len(st.prePlan.Steps)
+		s.Clusters = len(n.clusters)
+		for _, c := range n.clusters {
+			s.MaxClusterNodes = max(s.MaxClusterNodes, n.mgr.NodeCount(c.F))
+		}
+		s.ImageSteps = len(n.imgPlan.Steps)
+		s.PreimageSteps = len(n.prePlan.Steps)
 	}
 	return s
 }

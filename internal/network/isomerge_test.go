@@ -1,10 +1,9 @@
 package network_test
 
-// The iso engine merges the instantiated clusters across replicas
-// before compiling its plans. These tests pin that the merged plans
-// still compute exactly the monolithic relation's images, that the
-// merge respects the cluster limit, and that it stays off where the
-// replication does not pay (mdlc2).
+// On a replicated design the network's one cluster set is the
+// iso-instantiated clusters merged across replicas. These tests pin
+// that the plans compiled from it still compute exactly the monolithic
+// relation's images and that the merge respects the cluster limit.
 
 import (
 	"math/rand"
@@ -61,11 +60,16 @@ func TestIsoMergedPlansExact(t *testing.T) {
 			n := buildDesign(t, name, network.Options{ClusterLimit: limit})
 			m := n.Manager()
 			if !n.IsoWorthwhile() {
-				t.Fatal("design should be worth the iso pipeline")
+				t.Fatal("design should be worth the iso-instantiated clusters")
+			}
+			// The reference T must not come from the iso clusters it
+			// checks: it equals the raw conjuncts' product.
+			if raw := quant.AndExists(m, n.Conjuncts(), n.NonStateBits(), n.Heuristic()); n.T != raw {
+				t.Fatal("T differs from the product of the raw conjuncts")
 			}
 			rng := rand.New(rand.NewSource(1))
 			mono := reach.Engine(n, reach.EngineMonolithic)
-			iso := reach.Engine(n, reach.EngineIso)
+			iso := reach.Engine(n, reach.EngineClustered)
 			reached := m.IncRef(reach.Forward(n, reach.Options{Engine: reach.EngineMonolithic}).Reached)
 			// States: the reached set and random subsets of it. Edges:
 			// random cubes over both rails.
@@ -151,27 +155,12 @@ func minus(a, b []int) []int {
 // collapses scheduler-64's 128 per-cell clusters into at most two.
 func TestIsoMergeShortensRingPlans(t *testing.T) {
 	n := buildDesign(t, "scheduler-64", network.Options{SkipMonolithic: true})
-	img, pre := n.IsoImagePlan(), n.IsoPreimagePlan()
+	img, pre := n.ImagePlan(), n.PreimagePlan()
 	if len(img.Steps) > 2 || len(pre.Steps) > 2 {
 		t.Fatalf("scheduler-64 plans: %d image, %d preimage steps; want at most 2",
 			len(img.Steps), len(pre.Steps))
 	}
 	if s := n.IsoSummaryInfo(); s.Clusters != len(n.ImageClusters()) || s.ImageSteps != len(img.Steps) {
 		t.Fatalf("summary %+v disagrees with the plans", s)
-	}
-}
-
-// TestIsoMergeGated: mdlc2's three replicated pairs are below the
-// IsoWorthwhile bar, so an explicit iso request replays the instantiated
-// clusters unmerged (merging them makes its edge replays an order of
-// magnitude slower).
-func TestIsoMergeGated(t *testing.T) {
-	n := buildDesign(t, "mdlc2", network.Options{SkipMonolithic: true})
-	if !n.IsoAvailable() || n.IsoWorthwhile() {
-		t.Fatalf("mdlc2: IsoAvailable %v, IsoWorthwhile %v; want true, false", n.IsoAvailable(), n.IsoWorthwhile())
-	}
-	n.IsoImagePlan()
-	if got, want := n.IsoSummaryInfo().Clusters, len(n.IsoInstantiatedClusters()); got != want {
-		t.Fatalf("mdlc2 iso plans replay %d clusters, want the %d instantiated ones", got, want)
 	}
 }

@@ -35,7 +35,7 @@ type Options struct {
 	// names of the flat model). Default: order.Compute.
 	Order []string
 	// SkipMonolithic leaves N.T unbuilt (False); reachability then
-	// replays the clustered or iso plans over the partitioned relation
+	// replays the network's plan over the partitioned relation
 	// (Ablation F) until EnsureT builds T.
 	SkipMonolithic bool
 	// NaiveQuantification disables early quantification and builds the
@@ -87,22 +87,21 @@ type Network struct {
 	tableConj []int
 	latchConj [][]int
 
-	// Isomorphism-exploiting image pipeline (see iso.go), detected and
-	// compiled lazily like the clustered plans.
+	// Isomorphism detection (see iso.go), run once on first use.
 	iso *isoState
 
-	// Clustered image pipeline, compiled lazily on first use: the
-	// conjuncts merged into size-bounded clusters, and one frozen
-	// multiply-and-quantify plan per direction. The plans are stamped
+	// The network's one image plan, derived lazily: a size-bounded
+	// cluster set (ImageClusters) and, compiled from it on first replay,
+	// one multiply-and-quantify plan per direction. Both are stamped
 	// with the manager's reorder epoch; after a sift session changes the
-	// variable order the stale schedule (cluster sizes and step order
-	// were tuned for the old order) is released and re-derived.
-	clusters     []quant.Conjunct
-	imgPlan      *quant.CompiledPlan
-	prePlan      *quant.CompiledPlan
-	plansBuilt   bool
-	planEpoch    int // Manager.ReorderCount() when the plans were compiled
-	clusterLimit int
+	// variable order the stale set (cluster sizes and step order were
+	// tuned for the old order) is released and re-derived.
+	clusters      []quant.Conjunct // refs held
+	clustersBuilt bool
+	clusterEpoch  int                 // Manager.ReorderCount() when the clusters were derived
+	imgPlan       *quant.CompiledPlan // nil until the first replay at this epoch
+	prePlan       *quant.CompiledPlan
+	clusterLimit  int
 
 	psVars, nsVars []*mdd.Var
 	psBits, nsBits []int
@@ -281,10 +280,10 @@ func Build(flat *blifmv.Model, opts Options) (*Network, error) {
 			n.conjuncts = append(n.conjuncts, quant.Conjunct{F: dom, Support: l.NS.Bits()})
 		}
 	}
-	// The clustered and iso pipelines re-derive their plans from the
-	// conjuncts after every reorder session, and T, labels and the
-	// simulator read them across GC and reorder safe points: protect
-	// them for the life of the network.
+	// The cluster set is re-derived from the conjuncts after every
+	// reorder session, and T, labels and the simulator read them across
+	// GC and reorder safe points: protect them for the life of the
+	// network.
 	for _, c := range n.conjuncts {
 		n.mgr.IncRef(c.F)
 	}
@@ -295,10 +294,9 @@ func Build(flat *blifmv.Model, opts Options) (*Network, error) {
 		n.Init = n.mgr.And(n.Init, l.PS.In(l.Src.Init))
 	}
 
-	// The clustered image pipeline (size-bounded clusters plus one frozen
-	// quantification schedule per direction) is compiled lazily by
-	// ensurePlans on first use, so a run that only ever touches the
-	// monolithic engine never pays for it.
+	// The cluster set and its plans are derived on first use
+	// (ensureClusters, ensurePlans), so a run that only ever touches the
+	// monolithic engine never compiles a plan.
 	n.clusterLimit = opts.ClusterLimit
 
 	// Product transition relation.
@@ -313,61 +311,83 @@ func Build(flat *blifmv.Model, opts Options) (*Network, error) {
 	return n, nil
 }
 
-// ensurePlans compiles the clustered image pipeline on first use and
-// recompiles it when a reorder session has run since: cluster merging is
-// bounded by BDD node counts, which a sift changes, so a schedule tuned
-// for the old variable order is stale. Non-state variables are
-// pre-quantified during clustering when local to one cluster; the
-// remaining schedule (which variables die at which cluster) is computed
-// here and merely replayed by every image/preimage call.
-func (n *Network) ensurePlans() {
-	epoch := n.mgr.ReorderCount()
-	if n.plansBuilt && n.planEpoch == epoch {
+// ensureClusters derives the network's cluster set on first use and
+// re-derives it when a reorder session has run since: cluster merging is
+// bounded by BDD node counts, which a sift changes, so a set tuned for
+// the old variable order is stale. On a design whose replication pays
+// (IsoWorthwhile) the set is the iso-instantiated clusters merged across
+// replicas; otherwise it is the raw conjuncts clustered directly. Either
+// way the non-state variables local to one cluster are pre-quantified.
+func (n *Network) ensureClusters() {
+	m := n.mgr
+	epoch := m.ReorderCount()
+	if n.clustersBuilt && n.clusterEpoch == epoch {
 		return
 	}
-	if n.plansBuilt {
-		// Superseded by a reorder session: release the stale schedule
-		// before re-deriving it under the new order.
-		n.imgPlan.Release(n.mgr)
-		n.prePlan.Release(n.mgr)
+	if n.clustersBuilt {
+		// Superseded by a reorder session: release the stale set and its
+		// plans before re-deriving them under the new order.
+		if n.imgPlan != nil {
+			n.imgPlan.Release(m)
+			n.prePlan.Release(m)
+			n.imgPlan, n.prePlan = nil, nil
+		}
 		for _, c := range n.clusters {
-			n.mgr.DecRef(c.F)
+			m.DecRef(c.F)
 		}
 	}
-	n.clusters = quant.Clusters(n.mgr, n.conjuncts, n.nonState, n.clusterLimit)
-	for _, c := range n.clusters {
-		n.mgr.IncRef(c.F)
+	if n.IsoWorthwhile() {
+		n.clusters = n.mergeIsoClusters(n.instantiateIsoClusters())
+	} else {
+		n.clusters = quant.Clusters(m, n.conjuncts, n.nonState, n.clusterLimit)
 	}
-	imgQ := append(append([]int(nil), n.nonState...), n.psBits...)
-	preQ := append(append([]int(nil), n.nonState...), n.nsBits...)
-	n.imgPlan = quant.Compile(n.mgr, n.clusters, n.psBits, imgQ)
-	n.prePlan = quant.Compile(n.mgr, n.clusters, n.nsBits, preQ)
-	n.imgPlan.Retain(n.mgr)
-	n.prePlan.Retain(n.mgr)
-	n.plansBuilt = true
-	n.planEpoch = epoch
+	for _, c := range n.clusters {
+		m.IncRef(c.F)
+	}
+	n.clustersBuilt = true
+	n.clusterEpoch = epoch
 }
 
-// ImagePlan returns the precompiled clustered image schedule, compiling
+// ensurePlans compiles the image/preimage plan pair from the current
+// cluster set on first replay: the schedule (which variables die at
+// which cluster) is computed here and merely replayed by every
+// image/preimage call.
+func (n *Network) ensurePlans() {
+	n.ensureClusters()
+	if n.imgPlan != nil {
+		return
+	}
+	m := n.mgr
+	imgQ := append(append([]int(nil), n.nonState...), n.psBits...)
+	preQ := append(append([]int(nil), n.nonState...), n.nsBits...)
+	n.imgPlan = quant.Compile(m, n.clusters, n.psBits, imgQ)
+	n.prePlan = quant.Compile(m, n.clusters, n.nsBits, preQ)
+	n.imgPlan.Retain(m)
+	n.prePlan.Retain(m)
+}
+
+// ImagePlan returns the network's precompiled image schedule, compiling
 // (or, after a reorder session, recompiling) it on demand.
 func (n *Network) ImagePlan() *quant.CompiledPlan {
 	n.ensurePlans()
 	return n.imgPlan
 }
 
-// PreimagePlan returns the precompiled clustered preimage schedule,
-// compiling it on demand like ImagePlan.
+// PreimagePlan returns the precompiled preimage schedule, compiling it
+// on demand like ImagePlan.
 func (n *Network) PreimagePlan() *quant.CompiledPlan {
 	n.ensurePlans()
 	return n.prePlan
 }
 
-// ClusterConjuncts returns the clustered partitioned transition relation
-// (non-state variables local to one cluster already quantified out),
-// compiling it on demand. Callers must not mutate the slice and must not
-// hold it across a reorder session (it is re-derived then).
-func (n *Network) ClusterConjuncts() []quant.Conjunct {
-	n.ensurePlans()
+// ImageClusters returns the clustered partitioned transition relation
+// the image plans replay (see ensureClusters), deriving it on demand.
+// On a replicated design the iso-instantiated set is far cheaper to
+// derive than plain clustering, which merges every replica's conjuncts
+// from scratch. Callers must not mutate the slice and must not hold it
+// across a reorder session (it is re-derived then).
+func (n *Network) ImageClusters() []quant.Conjunct {
+	n.ensureClusters()
 	return n.clusters
 }
 
@@ -378,17 +398,23 @@ func (n *Network) TBuilt() bool { return n.tBuilt }
 func (n *Network) buildT() {
 	if n.naive {
 		n.T = quant.Naive(n.mgr, n.conjuncts, n.nonState)
-		n.tBuilt = true
-		return
-	}
-	n.ensurePlans()
-	if n.clusters != nil {
+	} else if n.IsoWorthwhile() {
+		// T is the reference the iso-merged plan is tested against, so
+		// it never comes from the iso clusters: cluster the raw
+		// conjuncts in a throwaway set and finish T from that.
+		cl := quant.Clusters(n.mgr, n.conjuncts, n.nonState, n.clusterLimit)
+		for _, c := range cl {
+			n.mgr.IncRef(c.F)
+		}
+		n.T = quant.AndExists(n.mgr, cl, n.nonState, n.heur)
+		for _, c := range cl {
+			n.mgr.DecRef(c.F)
+		}
+	} else {
 		// The clusters already absorbed the locally-quantifiable
 		// non-state variables; finish from them instead of redoing the
 		// full schedule over raw conjuncts.
-		n.T = quant.AndExists(n.mgr, n.clusters, n.nonState, n.heur)
-	} else {
-		n.T = quant.AndExists(n.mgr, n.conjuncts, n.nonState, n.heur)
+		n.T = quant.AndExists(n.mgr, n.ImageClusters(), n.nonState, n.heur)
 	}
 	n.tBuilt = true
 }

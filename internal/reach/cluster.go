@@ -2,11 +2,12 @@ package reach
 
 // Clustered image computation and the engine abstraction: every
 // fixpoint in the repository (reachability, CTL, language containment)
-// computes images and preimages through an ImageEngine, selecting the
-// monolithic product relation, the precompiled clustered pipeline, or
-// its iso-compiled variant. Iso or clustered is the default whenever the monolithic
-// relation has not been built — each replays a schedule compiled once
-// per network and performs no per-call scheduling work.
+// computes images and preimages through an ImageEngine, replaying either
+// the monolithic product relation or the network's one precompiled
+// plan. Which one is a property of the design: the plan whenever the
+// monolithic relation has not been built (network.IsoWorthwhile decides
+// that in the core flow), T otherwise. The plan is compiled once per
+// network (per reorder epoch) and replay performs no scheduling work.
 
 import (
 	"hsis/internal/bdd"
@@ -18,20 +19,16 @@ type EngineKind int
 
 // Engine kinds.
 const (
-	// EngineAuto picks monolithic when the product transition relation
-	// is already built; otherwise iso when the network's isomorphic
-	// latch-cone replication saves enough cluster compiles to pay for
-	// itself (network.IsoWorthwhile), clustered if not.
+	// EngineAuto resolves from the network: monolithic when the product
+	// transition relation is built, clustered otherwise.
 	EngineAuto EngineKind = iota
 	// EngineMonolithic uses the product transition relation T (building
-	// it on first use if necessary).
+	// it on first use if necessary). Tests force it as the reference.
 	EngineMonolithic
-	// EngineClustered replays the precompiled per-network plan.
+	// EngineClustered replays the network's one precompiled plan
+	// (network.ImagePlan): the iso-instantiated clusters merged across
+	// replicas on a replicated design, plain clusters otherwise.
 	EngineClustered
-	// EngineIso replays the isomorphism-compiled plan: clusters built
-	// once per equivalence class of replicated latch cones and
-	// instantiated per replica by variable permutation.
-	EngineIso
 )
 
 func (k EngineKind) String() string {
@@ -40,27 +37,8 @@ func (k EngineKind) String() string {
 		return "monolithic"
 	case EngineClustered:
 		return "clustered"
-	case EngineIso:
-		return "iso"
 	default:
 		return "auto"
-	}
-}
-
-// ParseEngineKind resolves a CLI engine name; empty and "auto" both map
-// to EngineAuto.
-func ParseEngineKind(s string) (EngineKind, bool) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, true
-	case "monolithic":
-		return EngineMonolithic, true
-	case "clustered":
-		return EngineClustered, true
-	case "iso":
-		return EngineIso, true
-	default:
-		return EngineAuto, false
 	}
 }
 
@@ -80,53 +58,35 @@ type ImageEngine interface {
 
 // Resolve returns the kind of engine Engine binds for the request.
 // EngineAuto resolves to monolithic when T is already built (it is paid
-// for; reuse it); otherwise to iso when the network has enough
-// replicated latch cones to profit from per-class compilation, and to
-// the clustered pipeline if not — SkipMonolithic networks never
-// multiply out the product relation just to take images. EngineIso
-// degrades to clustered on a network with no replication.
+// for; reuse it) and to the network's plan otherwise — a network whose
+// T was skipped never multiplies it out just to take images.
 func Resolve(n *network.Network, kind EngineKind) EngineKind {
-	switch kind {
-	case EngineAuto:
-		switch {
-		case n.TBuilt():
-			return EngineMonolithic
-		case n.IsoWorthwhile():
-			return EngineIso
-		default:
-			return EngineClustered
-		}
-	case EngineIso:
-		if !n.IsoAvailable() {
-			return EngineClustered
-		}
+	if kind != EngineAuto {
+		return kind
 	}
-	return kind
+	if n.TBuilt() {
+		return EngineMonolithic
+	}
+	return EngineClustered
 }
 
 // Engine binds an engine of the given kind (see Resolve) to a network.
 func Engine(n *network.Network, kind EngineKind) ImageEngine {
 	m := n.Manager()
-	switch kind = Resolve(n, kind); kind {
-	case EngineIso:
-		return &engine{n: n, kind: kind,
-			post: func(seed bdd.Ref) bdd.Ref { return n.IsoImagePlan().Run(m, seed) },
-			pre:  func(seed bdd.Ref) bdd.Ref { return n.IsoPreimagePlan().Run(m, seed) }}
-	case EngineClustered:
+	if kind = Resolve(n, kind); kind == EngineClustered {
 		return &engine{n: n, kind: kind,
 			post: func(seed bdd.Ref) bdd.Ref { return n.ImagePlan().Run(m, seed) },
 			pre:  func(seed bdd.Ref) bdd.Ref { return n.PreimagePlan().Run(m, seed) }}
-	default:
-		return &engine{n: n, kind: EngineMonolithic,
-			post: func(seed bdd.Ref) bdd.Ref {
-				n.EnsureT()
-				return m.AndExists(n.T, seed, n.PSCube())
-			},
-			pre: func(seed bdd.Ref) bdd.Ref {
-				n.EnsureT()
-				return m.AndExists(n.T, seed, n.NSCube())
-			}}
 	}
+	return &engine{n: n, kind: EngineMonolithic,
+		post: func(seed bdd.Ref) bdd.Ref {
+			n.EnsureT()
+			return m.AndExists(n.T, seed, n.PSCube())
+		},
+		pre: func(seed bdd.Ref) bdd.Ref {
+			n.EnsureT()
+			return m.AndExists(n.T, seed, n.NSCube())
+		}}
 }
 
 // engine is every ImageEngine: post and pre conjoin a seed with the

@@ -1,9 +1,10 @@
 package reach_test
 
-// Property-style engine-equivalence tests: the monolithic, clustered,
-// and iso image engines must compute identical successor and
-// predecessor sets on every bundled Table-1 design (plus a generated
-// philos-16, where isomorphism detection covers every latch), for every
+// Property-style engine-equivalence tests: the monolithic engine and
+// the network's one plan (the clustered engine) must compute identical
+// successor and predecessor sets on every bundled Table-1 design (plus a
+// generated philos-16, where isomorphism detection covers every latch
+// and the plan replays the iso-instantiated clusters), for every
 // reachability ring, and Backward must agree across engines under
 // non-trivial care sets.
 
@@ -38,7 +39,6 @@ func buildNet(t *testing.T, d *designs.Design, opts network.Options) *network.Ne
 var engineKinds = []reach.EngineKind{
 	reach.EngineMonolithic,
 	reach.EngineClustered,
-	reach.EngineIso,
 }
 
 // equivalenceDesigns is the bundled Table-1 suite plus one generated

@@ -29,8 +29,8 @@ type Options struct {
 	// Early failure detection runs with a small bound (paper §5.4).
 	MaxSteps int
 	// Engine selects the image-computation strategy (EngineAuto picks
-	// monolithic when T is built, otherwise iso on sufficiently
-	// replicated designs, clustered if not).
+	// monolithic when T is built, the network's plan otherwise). Only
+	// tests force a kind.
 	Engine EngineKind
 	// KeepRings records the frontier of every step for counterexample
 	// reconstruction ("onion rings").

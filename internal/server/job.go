@@ -38,9 +38,6 @@ import (
 // default: auto image engine, no reordering, the server's default
 // deadline.
 type JobOptions struct {
-	// Image selects the image-computation engine ("", "auto",
-	// "monolithic", "clustered", "iso"); Submit rejects any other value.
-	Image string `json:"image,omitempty"`
 	// Reorder selects the dynamic-reordering policy ("", "off",
 	// "manual", "auto"); Submit rejects any other value.
 	Reorder string `json:"reorder,omitempty"`
@@ -253,15 +250,14 @@ func (r *Request) validate() error {
 	if r.Options.TimeoutMS < 0 {
 		return fmt.Errorf("negative timeout_ms %d", r.Options.TimeoutMS)
 	}
-	// Image and Reorder are client strings that also end up as metric
-	// labels: reject unknown values here, not inside a worker.
+	// Reorder is a client string: reject an unknown value here, not
+	// inside a worker.
 	return r.Options.coreOptions(nil).Validate()
 }
 
 // coreOptions maps the job options onto the verification flow's.
 func (o JobOptions) coreOptions(scope *telemetry.Scope) core.Options {
 	return core.Options{
-		Image:           o.Image,
 		Reorder:         o.Reorder,
 		ConeOfInfluence: o.ConeOfInfluence,
 		Telemetry:       scope,

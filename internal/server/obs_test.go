@@ -123,9 +123,9 @@ func TestFlightRecordOnTimeout(t *testing.T) {
 	_, base := newTestServer(t, Config{Workers: 1})
 
 	v, _ := postJob(t, base, Request{
-		Builtin: "mdlc2",
+		Builtin: longFixpoint,
 		PIF:     "-",
-		Options: JobOptions{Image: "clustered", Reach: true, TimeoutMS: 150},
+		Options: JobOptions{Reach: true, TimeoutMS: 150},
 	})
 	got := waitTerminal(t, base, v.ID, 20*time.Second)
 	if got.Status != StatusTimeout {
@@ -313,14 +313,16 @@ func TestMetricsNameLint(t *testing.T) {
 }
 
 // TestEngineLatencyFolded checks a finished job's kernel histograms
-// land in the per-engine families with the engine the job asked for.
+// land in the per-engine families under the engine the job ran on:
+// pingpong has too little replication for the plan to pay, so it builds
+// T and images through it.
 func TestEngineLatencyFolded(t *testing.T) {
 	s, base := newTestServer(t, Config{Workers: 1})
 
 	v, _ := postJob(t, base, Request{
 		Builtin: "pingpong",
 		PIF:     "-",
-		Options: JobOptions{Image: "clustered", Reach: true},
+		Options: JobOptions{Reach: true},
 	})
 	if got := waitTerminal(t, base, v.ID, 30*time.Second); got.Status != StatusDone {
 		t.Fatalf("job: %s (%s)", got.Status, got.Error)
@@ -328,58 +330,95 @@ func TestEngineLatencyFolded(t *testing.T) {
 
 	found := false
 	for _, ls := range s.Registry().HistogramSnapshots() {
-		if ls.Name == "hsis_fixpoint_iteration_seconds" && ls.Value == "clustered" && ls.Count > 0 {
+		if ls.Name == "hsis_fixpoint_iteration_seconds" && ls.Value == "monolithic" && ls.Count > 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Error(`no fixpoint iterations folded into engine="clustered"`)
+		t.Error(`no fixpoint iterations folded into engine="monolithic"`)
 	}
 	var buf bytes.Buffer
 	if err := s.Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `hsis_fixpoint_iteration_seconds_count{engine="clustered"}`) {
+	if !strings.Contains(buf.String(), `hsis_fixpoint_iteration_seconds_count{engine="monolithic"}`) {
 		t.Error("exposition is missing the per-engine fixpoint family")
 	}
 }
 
-// TestUnknownOptionsRejectedAtSubmission checks that an unknown image
-// engine or reorder policy is a 400 at submission, and that no such
-// client string ever becomes a metric label: the per-engine families
-// are keyed by the parsed engine kind.
+// TestConeJobFoldsUnderDesignEngine pins the label of a
+// cone-of-influence job: its properties are checked on reduced
+// sub-networks, but the whole job's histograms fold under the engine the
+// full design resolved to (clustered, for a replicated scheduler).
+func TestConeJobFoldsUnderDesignEngine(t *testing.T) {
+	s, base := newTestServer(t, Config{Workers: 1})
+
+	v, _ := postJob(t, base, Request{
+		Builtin: "scheduler-8",
+		PIF:     "ctl start_marks_busy AG(s0=1 -> AX b0=1)\n",
+		Options: JobOptions{ConeOfInfluence: true},
+	})
+	if got := waitTerminal(t, base, v.ID, 60*time.Second); got.Status != StatusDone {
+		t.Fatalf("job: %s (%s)", got.Status, got.Error)
+	}
+	counts := map[string]int64{}
+	for _, ls := range s.Registry().HistogramSnapshots() {
+		if ls.Name == "hsis_image_seconds" {
+			counts[ls.Value] += ls.Count
+		}
+	}
+	if counts["clustered"] == 0 || len(counts) != 1 {
+		t.Errorf(`image histograms by engine = %v, want only engine="clustered"`, counts)
+	}
+}
+
+// TestUnknownOptionsRejectedAtSubmission checks that an unknown reorder
+// policy is a 400 at submission, that the retired "image" option is an
+// unknown JSON field and so ignored, and that no client string ever
+// becomes a metric label: the per-engine families are keyed by the
+// engine the design resolved to.
 func TestUnknownOptionsRejectedAtSubmission(t *testing.T) {
 	s, base := newTestServer(t, Config{Workers: 1})
 
 	bad := []string{"bogus-1", "bogus-2", "partitioned"}
-	for _, img := range bad {
-		_, resp := postJob(t, base, Request{Builtin: "pingpong", PIF: "-", Options: JobOptions{Image: img}})
+	for _, policy := range bad {
+		_, resp := postJob(t, base, Request{Builtin: "pingpong", PIF: "-", Options: JobOptions{Reorder: policy}})
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("image %q: status %d, want 400", img, resp.StatusCode)
+			t.Errorf("reorder %q: status %d, want 400", policy, resp.StatusCode)
 		}
 	}
-	_, resp := postJob(t, base, Request{Builtin: "pingpong", PIF: "-", Options: JobOptions{Reorder: "bogus-3"}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("reorder bogus-3: status %d, want 400", resp.StatusCode)
-	}
 
-	// One good job, so the per-engine families have a child to show.
-	v, _ := postJob(t, base, Request{Builtin: "pingpong", PIF: "-", Options: JobOptions{Reach: true}})
+	// One good job carrying the retired option, so the per-engine
+	// families have a child to show.
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(
+		`{"builtin":"pingpong","pif":"-","options":{"image":"bogus-3","reach":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v JobView
+	json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job with an image option: status %d, want 202", resp.StatusCode)
+	}
 	if got := waitTerminal(t, base, v.ID, 30*time.Second); got.Status != StatusDone {
 		t.Fatalf("job: %s (%s)", got.Status, got.Error)
 	}
 	bad = append(bad, "bogus-3")
-	auto := false
+	mono := false
 	for _, ls := range s.Registry().HistogramSnapshots() {
 		for _, b := range bad {
 			if ls.Value == b {
 				t.Errorf("%s has a %q child", ls.Name, b)
 			}
 		}
-		auto = auto || (ls.Name == "hsis_fixpoint_iteration_seconds" && ls.Value == "auto")
+		if ls.Name == "hsis_fixpoint_iteration_seconds" && ls.Value != "monolithic" {
+			t.Errorf("%s has a %q child; pingpong runs on monolithic", ls.Name, ls.Value)
+		}
+		mono = mono || (ls.Name == "hsis_fixpoint_iteration_seconds" && ls.Value == "monolithic")
 	}
-	if !auto {
-		t.Error(`the default job was not folded into engine="auto"`)
+	if !mono {
+		t.Error(`the job was not folded into engine="monolithic"`)
 	}
 	for _, url := range []string{base + "/metrics", base + "/metrics?format=prom"} {
 		resp, err := http.Get(url)

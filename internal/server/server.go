@@ -331,7 +331,12 @@ func (s *Server) execute(j *Job) {
 			s.tracesWritten.Add(1)
 		}
 	}
-	s.foldJobMetrics(engineLabel(j.req.Options.Image), j.scope.Metrics())
+	// The per-engine families are labelled by the engine the job's
+	// fixpoints ran on, which the design decides; a job that never got a
+	// workspace ran none.
+	if ws := j.ws.Load(); ws != nil {
+		s.foldJobMetrics(reach.Resolve(ws.Net, reach.EngineAuto).String(), j.scope.Metrics())
+	}
 
 	// A job that dies abnormally keeps its last moments: the flight
 	// recorder's ring is dumped into the job view, so post-mortems don't
@@ -385,14 +390,6 @@ func tenantLabel(tenant string) string {
 		return "default"
 	}
 	return tenant
-}
-
-// engineLabel maps the image-engine option (validated at submission)
-// to its metrics label, the parsed kind's name, so the label set is the
-// engine set whatever the client sent.
-func engineLabel(image string) string {
-	kind, _ := reach.ParseEngineKind(image)
-	return kind.String()
 }
 
 // runWithDeadline arms the job's deadline and maps the verification

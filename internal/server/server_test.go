@@ -313,16 +313,23 @@ func TestTenantFairness(t *testing.T) {
 	_ = s
 }
 
-// TestDeadlineInterruptsFixpoint gives mdlc2 a deadline far below its
-// reachability time: the job must come back "timeout" without wedging
-// its (only) worker, proven by a follow-up job completing.
+// longFixpoint is a design whose default-option job (build plus exact
+// reachability) stays in flight far longer than the deadlines and
+// cancel delays below: a scaled scheduler ring with 512 latches, whose
+// reachability replays the iso-instantiated plan for about 500
+// iterations.
+const longFixpoint = "scheduler-256"
+
+// TestDeadlineInterruptsFixpoint gives a long reachability a deadline
+// far below its running time: the job must come back "timeout" without
+// wedging its (only) worker, proven by a follow-up job completing.
 func TestDeadlineInterruptsFixpoint(t *testing.T) {
 	_, base := newTestServer(t, Config{Workers: 1})
 
 	v, resp := postJob(t, base, Request{
-		Builtin: "mdlc2",
+		Builtin: longFixpoint,
 		PIF:     "-",
-		Options: JobOptions{Image: "clustered", Reach: true, TimeoutMS: 100},
+		Options: JobOptions{Reach: true, TimeoutMS: 100},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
@@ -352,9 +359,9 @@ func TestCancelRunningJob(t *testing.T) {
 	_, base := newTestServer(t, Config{Workers: 1})
 
 	v, _ := postJob(t, base, Request{
-		Builtin: "mdlc2",
+		Builtin: longFixpoint,
 		PIF:     "-",
-		Options: JobOptions{Image: "clustered", Reach: true},
+		Options: JobOptions{Reach: true},
 	})
 	waitStatus(t, base, v.ID, StatusRunning, 5*time.Second)
 	time.Sleep(50 * time.Millisecond) // let it get into the fixpoint

@@ -47,14 +47,9 @@ type NetSystem struct {
 }
 
 // FromNetwork wraps a network as a System, binding the default image
-// engine (monolithic when T is built, iso or clustered otherwise).
+// engine (monolithic when T is built, the network's plan otherwise).
 func FromNetwork(n *network.Network) *NetSystem {
 	return &NetSystem{N: n, eng: reach.Engine(n, reach.EngineAuto)}
-}
-
-// FromNetworkEngine wraps a network with an explicit engine choice.
-func FromNetworkEngine(n *network.Network, kind reach.EngineKind) *NetSystem {
-	return &NetSystem{N: n, eng: reach.Engine(n, kind)}
 }
 
 // Manager returns the BDD manager of the underlying network.

@@ -8,10 +8,9 @@
 // alongside ns/op. `make bench` pipes through it to record
 // BENCH_bdd.json.
 //
-// Rows with twin configurations get derived ratios: every ".../iso" row
-// with a ".../clustered" twin gains speedup-vs-clustered, and every
-// ".../auto" reorder row gains speedup-vs-off against its no-reordering
-// twin and the sift ratios against a replayed ".../auto-prechange" row.
+// Rows with twin configurations get derived ratios: every ".../auto"
+// reorder row gains speedup-vs-off against its no-reordering twin and
+// the sift ratios against a replayed ".../auto-prechange" row.
 package main
 
 import (
@@ -32,31 +31,6 @@ type result struct {
 	GOMAXPROCS int                `json:"gomaxprocs"`
 	NumCPU     int                `json:"numcpu"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
-}
-
-// addSpeedups derives a speedup-vs-clustered metric on every ".../iso"
-// benchmark row that has a ".../clustered" twin (same name with the
-// engine segment swapped), so BENCH_iso.json carries the per-design
-// ratio directly instead of leaving readers to divide ns/op pairs.
-func addSpeedups(results []result) {
-	byName := make(map[string]float64, len(results))
-	for _, r := range results {
-		byName[r.Name] = r.NsPerOp
-	}
-	for i := range results {
-		r := &results[i]
-		if !strings.Contains(r.Name, "/iso") || r.NsPerOp == 0 {
-			continue
-		}
-		base, ok := byName[strings.Replace(r.Name, "/iso", "/clustered", 1)]
-		if !ok {
-			continue
-		}
-		if r.Metrics == nil {
-			r.Metrics = make(map[string]float64)
-		}
-		r.Metrics["speedup-vs-clustered"] = base / r.NsPerOp
-	}
 }
 
 // addReorderMetrics derives the sifting ratios on every ".../auto" row
@@ -202,7 +176,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	addSpeedups(results)
 	addReorderMetrics(results)
 	addParallelSpeedups(results)
 	enc := json.NewEncoder(os.Stdout)

@@ -197,7 +197,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 // tracer — the flight recorder every hsisd job carries — receives the
 // fixpoint and image-replay events without their node-count fields,
 // which cost one BDD traversal each. philos-4 runs T-free under auto,
-// so the iso plans' quant.cluster spans are among the events.
+// so the plan's quant.cluster spans are among the events.
 func TestNodeCountsOnlyWhenTraced(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	sc := telemetry.NewScope(nil).WithRecorder(rec)
