@@ -53,11 +53,14 @@ trace-smoke:
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # One iteration of the kernel benchmarks (image pipeline plus the
-# negation-heavy sweep): enough to catch a regression that breaks an
-# engine or the complement-edge kernel outright without paying for a
-# full benchmark run.
+# negation-heavy sweep) and of the early-quantification rows of
+# Ablation A: enough to catch a regression that breaks an engine, the
+# complement-edge kernel or the quantification schedule outright without
+# paying for a full benchmark run. The naive Ablation A rows stay out
+# (mdlc2's alone takes about 25 s).
 bench-smoke:
 	$(GO) test -bench='(BenchmarkImage|BenchmarkNegationHeavy)$$' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='BenchmarkEarlyQuant/.*/minwidth$$' -benchtime=1x -run='^$$' .
 
 # The kernel benchmarks with allocation stats, recorded to
 # BENCH_bdd.json for comparison across commits. The benchmarks report

@@ -17,7 +17,7 @@
 //	check_all                       run every property
 //	explain_ctl <name>              unfold a failing CTL property (§6.2)
 //	check_refine <spec.v> <top> <i=s>...   refinement vs an abstraction
-//	quant_schedule                  print the early-quantification plan
+//	quant_schedule                  print the early-quantification schedule
 //	reorder                         sift the variable order now
 //	write_order <file>              save the current variable order
 //	write_blif_mv <file> / write_dot <file>
@@ -456,7 +456,7 @@ func (sh *shell) exec(line string) error {
 			return err
 		}
 		n := sh.w.Net
-		sched := quant.Plan(n.Conjuncts(), n.NonStateBits(), n.Heuristic())
+		sched := quant.Plan(n.Conjuncts(), n.NonStateBits())
 		fmt.Fprint(sh.out, sched)
 		return nil
 	case "reorder":

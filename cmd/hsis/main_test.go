@@ -48,6 +48,19 @@ func TestShellBuiltinFlow(t *testing.T) {
 	}
 }
 
+// TestShellQuantSchedule checks quant_schedule prints the one
+// early-quantification plan, with no heuristic label.
+func TestShellQuantSchedule(t *testing.T) {
+	sh, buf := newTestShell()
+	out := run(t, sh, buf, "read_builtin pingpong", "quant_schedule")
+	if !strings.Contains(out, "schedule: ") || !strings.Contains(out, "  final: conjuncts ") {
+		t.Fatalf("quant_schedule output:\n%s", out)
+	}
+	if strings.Contains(out, "minwidth") {
+		t.Fatalf("quant_schedule still labels a heuristic:\n%s", out)
+	}
+}
+
 func TestShellTraceCommand(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "run.jsonl")

@@ -17,7 +17,6 @@ import (
 
 	"hsis/internal/core"
 	"hsis/internal/designs"
-	"hsis/internal/quant"
 	"hsis/internal/telemetry"
 )
 
@@ -97,23 +96,12 @@ func parseFlags(args []string) (*config, error) {
 	c := &config{}
 	c.cli = core.BindFlags(fs, &c.opts)
 	fs.StringVar(&c.only, "design", "", "run a single design")
-	heuristic := fs.String("quant", "minwidth", "early quantification heuristic: minwidth|linear|naive")
 	fs.BoolVar(&c.opts.AppendedOrder, "appended-order", false, "use the naive appended variable order (Ablation E)")
 	fs.IntVar(&c.opts.EarlySteps, "early", 0, "early failure detection depth for LC (0 = off)")
 	fs.BoolVar(&c.opts.DisableInvariantFastPath, "no-invariant-fastpath", false, "disable the AG(prop) fast path (Ablation B)")
 	fs.BoolVar(&c.opts.ConeOfInfluence, "coi", false, "cone-of-influence abstraction per property (Ablation G)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	switch *heuristic {
-	case "minwidth":
-		c.opts.Heuristic = quant.MinWidth
-	case "linear":
-		c.opts.Heuristic = quant.Linear
-	case "naive":
-		c.opts.NaiveQuantification = true
-	default:
-		return nil, fmt.Errorf("unknown -quant value %q", *heuristic)
 	}
 	return c, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hsis/internal/core"
-	"hsis/internal/quant"
 )
 
 func TestMeasurePingpong(t *testing.T) {
@@ -27,7 +26,7 @@ func TestMeasurePingpong(t *testing.T) {
 }
 
 func TestMeasurePhilosExpectedFailures(t *testing.T) {
-	r, err := measure("philos", core.Options{Heuristic: quant.Linear})
+	r, err := measure("philos", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +43,13 @@ func TestMeasureUnknownDesign(t *testing.T) {
 
 // TestParseFlags checks the command line goes through the binder shared
 // with hsis, alongside the table1-only ablation switches, and that
-// neither -workers, -image nor the removed sifting tuning flags are
-// flags.
+// neither -workers, -image, -quant nor the removed sifting tuning flags
+// are flags.
 func TestParseFlags(t *testing.T) {
 	c, err := parseFlags([]string{
 		"-reorder", "manual",
 		"-trace", "t.jsonl", "-profile", "p",
-		"-design", "pingpong", "-quant", "naive", "-coi", "-early", "3",
+		"-design", "pingpong", "-coi", "-early", "3",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func TestParseFlags(t *testing.T) {
 	if o.Reorder != "manual" {
 		t.Fatalf("shared options not bound: %+v", o)
 	}
-	if !o.NaiveQuantification || !o.ConeOfInfluence || o.EarlySteps != 3 || c.only != "pingpong" {
+	if !o.ConeOfInfluence || o.EarlySteps != 3 || c.only != "pingpong" {
 		t.Fatalf("table1 options not bound: %+v only=%q", o, c.only)
 	}
 	if c.cli.Trace != "t.jsonl" || c.cli.Profile != "p" {
@@ -68,6 +67,8 @@ func TestParseFlags(t *testing.T) {
 	for _, gone := range [][]string{
 		{"-workers", "2"},
 		{"-image", "clustered"},
+		{"-quant", "naive"},
+		{"-quant", "minwidth"},
 		{"-reorder-accel", "none"},
 		{"-reorder-max-growth", "1.3"},
 		{"-reorder-trigger", "2.5"},
@@ -75,8 +76,5 @@ func TestParseFlags(t *testing.T) {
 		if _, err := parseFlags(gone); err == nil {
 			t.Fatalf("%s was accepted", gone[0])
 		}
-	}
-	if _, err := parseFlags([]string{"-quant", "bogus"}); err == nil {
-		t.Fatal("unknown -quant value was accepted")
 	}
 }

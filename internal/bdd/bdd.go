@@ -168,8 +168,8 @@ type Manager struct {
 	statCacheKept                 int // op-cache entries that survived the last GC
 
 	// interrupted is the cooperative-cancellation flag (interrupt.go):
-	// set by Interrupt from any goroutine, polled by the fixpoint
-	// drivers' CheckInterrupt calls at their safe points.
+	// set by Interrupt from any goroutine, polled by CheckInterrupt at
+	// the head of every image-iterating loop.
 	interrupted atomic.Bool
 
 	autoGCAt  int // node count that triggers an automatic GC on allocation

@@ -3,11 +3,14 @@ package bdd
 // Cooperative interruption. A long-running verification (a fixpoint, a
 // hull iteration) owned by one Manager can be cancelled from another
 // goroutine — a job deadline, a client disconnect, a daemon shutdown —
-// by calling Interrupt. The kernel itself never polls the flag: the
-// fixpoint drivers (reach, sys, emptiness, ctl) call CheckInterrupt at
-// their existing reorder/GC safe points, where no unprotected
-// intermediate Refs are at risk, and CheckInterrupt unwinds by
-// panicking with ErrInterrupted.
+// by calling Interrupt. The kernel itself never polls the flag: every
+// loop that iterates images calls CheckInterrupt at its head — the
+// fixpoints of reach, sys, emptiness and ctl, the bounded scan of lc and
+// the searches of debug's error-trace extraction — and CheckInterrupt
+// unwinds by panicking with ErrInterrupted. Only reach's loop head is
+// also a reorder/GC safe point; elsewhere unprotected intermediate Refs
+// may be live when the panic fires, which is harmless because an
+// interrupted manager is never used again (below).
 //
 // The panic is the propagation mechanism, not an error: verdict-carrying
 // error returns would have to thread through every fixpoint layer, while

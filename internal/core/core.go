@@ -22,7 +22,6 @@ import (
 	"hsis/internal/network"
 	"hsis/internal/order"
 	"hsis/internal/pif"
-	"hsis/internal/quant"
 	"hsis/internal/reach"
 	"hsis/internal/reorder"
 	"hsis/internal/sys"
@@ -31,10 +30,6 @@ import (
 
 // Options tunes the verification flow.
 type Options struct {
-	// Heuristic selects the early-quantification scheduler.
-	Heuristic quant.Heuristic
-	// NaiveQuantification disables early quantification (Ablation A).
-	NaiveQuantification bool
 	// AppendedOrder uses the naive declaration-order variable order
 	// instead of the interacting-FSM static order (Ablation E).
 	AppendedOrder bool
@@ -114,10 +109,8 @@ func (o Options) Validate() error {
 // workspace's full network and its cone-of-influence sub-networks.
 func (o Options) networkOptions() network.Options {
 	return network.Options{
-		Heuristic:           o.Heuristic,
-		NaiveQuantification: o.NaiveQuantification,
-		AutoReorder:         o.Reorder == "auto",
-		Telemetry:           o.Telemetry,
+		AutoReorder: o.Reorder == "auto",
+		Telemetry:   o.Telemetry,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hsis/internal/designs"
-	"hsis/internal/quant"
 )
 
 func loadDesign(t *testing.T, name string, opts Options) *Workspace {
@@ -85,8 +84,6 @@ func TestOptionsVariants(t *testing.T) {
 	// The same verdicts under every engine configuration.
 	for _, opts := range []Options{
 		{},
-		{Heuristic: quant.Linear},
-		{NaiveQuantification: true},
 		{AppendedOrder: true},
 		{EarlySteps: 4},
 		{DisableInvariantFastPath: true},

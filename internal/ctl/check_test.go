@@ -156,6 +156,29 @@ func TestInvariancePath(t *testing.T) {
 	}
 }
 
+// TestEarlyFailure pins the bounded-depth check of paper §5.4 that the
+// invariance path runs: FailStep is the reachability step at which a bad
+// state first appears, or -1 when none is reachable.
+func TestEarlyFailure(t *testing.T) {
+	for _, tc := range []struct {
+		src, formula string
+		want         int
+	}{
+		{counter4, "AG s!=2", 2}, // state 2 first appears after 2 steps
+		{counter4, "AG s!=0", 0}, // the initial state is bad
+		{gated5, "AG s!=4", -1},  // the bad state is unreachable
+	} {
+		v, err := NewForNetwork(compile(t, tc.src), nil).Check(MustParse(tc.formula))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.UsedInvariantPath || v.FailStep != tc.want || v.Pass != (tc.want < 0) {
+			t.Fatalf("%s: invariant path %v, FailStep %d, pass %v; want FailStep %d",
+				tc.formula, v.UsedInvariantPath, v.FailStep, v.Pass, tc.want)
+		}
+	}
+}
+
 func TestInvariancePathSkippedUnderFairness(t *testing.T) {
 	n := compile(t, gated5)
 	fc := &fair.Constraints{}

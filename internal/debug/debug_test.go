@@ -83,6 +83,23 @@ func TestErrorTraceUnconstrained(t *testing.T) {
 	}
 }
 
+// TestErrorTraceHonoursInterrupt checks trace extraction is a
+// cancellation point: on an interrupted manager FindErrorTrace unwinds
+// with bdd.ErrInterrupted instead of running its searches to the end.
+func TestErrorTraceHonoursInterrupt(t *testing.T) {
+	n := compile(t, chain)
+	s := sys.FromNetwork(n)
+	_, hull, _ := emptiness.Check(s, nil)
+	s.Manager().Interrupt()
+	defer func() {
+		if r := recover(); r != bdd.ErrInterrupted {
+			t.Fatalf("recovered %v, want bdd.ErrInterrupted", r)
+		}
+	}()
+	FindErrorTrace(s, nil, hull)
+	t.Fatal("FindErrorTrace returned on an interrupted manager")
+}
+
 func TestErrorTraceWithBuchi(t *testing.T) {
 	n := compile(t, branch)
 	s := sys.FromNetwork(n)

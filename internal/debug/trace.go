@@ -71,6 +71,7 @@ func shortestPath(s sys.System, within, from, to bdd.Ref) ([]State, error) {
 	rings := []bdd.Ref{from}
 	reached := from
 	for {
+		m.CheckInterrupt() // cancellation safe point (see internal/reach)
 		next := m.And(s.Post(rings[len(rings)-1]), within)
 		frontier := m.Diff(next, reached)
 		if frontier == bdd.False {
@@ -88,6 +89,7 @@ func shortestPath(s sys.System, within, from, to bdd.Ref) ([]State, error) {
 	path := make([]State, d+1)
 	path[d] = cur
 	for i := d - 1; i >= 0; i-- {
+		m.CheckInterrupt()
 		prevSet := m.And(s.Pre(stateEq(s, path[i+1])), rings[i])
 		st, ok := pickState(s, prevSet)
 		if !ok {
@@ -105,6 +107,7 @@ func forwardClosure(s sys.System, within, from bdd.Ref) bdd.Ref {
 	reached := m.And(from, within)
 	frontier := reached
 	for frontier != bdd.False {
+		m.CheckInterrupt()
 		next := m.And(s.Post(frontier), within)
 		frontier = m.Diff(next, reached)
 		reached = m.Or(reached, frontier)
@@ -152,6 +155,7 @@ func buildFairCycle(s sys.System, fc *fair.Constraints, hull bdd.Ref, entry Stat
 	m := s.Manager()
 	cur := entry
 	for attempt := 0; attempt < 1<<16; attempt++ {
+		m.CheckInterrupt()
 		region := forwardClosure(s, hull, stateEq(s, cur))
 		var targets []waypoint
 		if fc != nil {

@@ -94,6 +94,7 @@ func boundedReached(s sys.System, k int) bdd.Ref {
 	frontier := reached
 	t := m.Telemetry()
 	for i := 0; i < k && frontier != bdd.False; i++ {
+		m.CheckInterrupt() // cancellation safe point (see internal/reach)
 		var sp telemetry.Span
 		if t != nil {
 			sp = t.Start("lc.bounded.iter")

@@ -188,6 +188,25 @@ func TestEarlyFailureDetection(t *testing.T) {
 	}
 }
 
+// TestBoundedReachHonoursInterrupt checks the early-failure scan is a
+// cancellation point like every other fixpoint.
+func TestBoundedReachHonoursInterrupt(t *testing.T) {
+	n := compile(t, mutexBad)
+	a, err := Compile(n, parseAut(t, mutexAut, "never_both"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProduct(n, a)
+	p.Manager().Interrupt()
+	defer func() {
+		if r := recover(); r != bdd.ErrInterrupted {
+			t.Fatalf("recovered %v, want bdd.ErrInterrupted", r)
+		}
+	}()
+	boundedReached(p, 4)
+	t.Fatal("boundedReached returned on an interrupted manager")
+}
+
 func TestNondeterministicAutomatonRejected(t *testing.T) {
 	src := `
 automaton nd {

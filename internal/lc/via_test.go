@@ -111,8 +111,14 @@ func TestPlanReplayViaMatchesMonolithic(t *testing.T) {
 			}
 			// State sets: the initial states and the first reachability
 			// rings, whole and cut by a random predicate. (Deep rings of
-			// mdlc2 make the clustered replays cost seconds apiece.)
-			res := reach.Forward(n, reach.Options{MaxSteps: 3, KeepRings: true})
+			// mdlc2 make the clustered replays cost seconds apiece.) Stop
+			// sees the initial set, then the set after each step: the
+			// run stops after three steps.
+			steps := -1
+			res := reach.Forward(n, reach.Options{KeepRings: true, Stop: func(bdd.Ref) bool {
+				steps++
+				return steps == 3
+			}})
 			sets := append([]bdd.Ref(nil), res.Rings...)
 			for _, ring := range res.Rings[1:] {
 				sets = append(sets, m.And(ring, randomPred(m, r, n.PSBits())))

@@ -151,7 +151,7 @@ func (n *Network) BuildAsyncT(tree *Synchrony) (bdd.Ref, error) {
 	conjs := append(append([]quant.Conjunct(nil), n.conjuncts...), auxConjs...)
 	qvars := append(append([]int(nil), n.nonState...), quantifyExtra...)
 	qvars = append(qvars, selectorBits...)
-	tAux := quant.AndExists(m, conjs, qvars, n.heur)
+	tAux := quant.AndExists(m, conjs, qvars)
 
 	// Map the auxiliary rail back onto the canonical NS rail.
 	perm := n.space.Permutation(aux, n.nsVars)

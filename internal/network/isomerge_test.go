@@ -64,7 +64,7 @@ func TestIsoMergedPlansExact(t *testing.T) {
 			}
 			// The reference T must not come from the iso clusters it
 			// checks: it equals the raw conjuncts' product.
-			if raw := quant.AndExists(m, n.Conjuncts(), n.NonStateBits(), n.Heuristic()); n.T != raw {
+			if raw := quant.AndExists(m, n.Conjuncts(), n.NonStateBits()); n.T != raw {
 				t.Fatal("T differs from the product of the raw conjuncts")
 			}
 			rng := rand.New(rand.NewSource(1))

@@ -77,7 +77,7 @@ func (n *Network) LabelEq(name, value string) (bdd.Ref, error) {
 			qvars = append(qvars, b)
 		}
 	}
-	return n.mgr.And(quant.AndExists(n.mgr, conjs, qvars, n.heur), n.labels.dom), nil
+	return n.mgr.And(quant.AndExists(n.mgr, conjs, qvars), n.labels.dom), nil
 }
 
 // labelConjuncts returns the relations the label of a combinational

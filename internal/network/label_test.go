@@ -12,6 +12,37 @@ import (
 	"hsis/internal/verilog"
 )
 
+// sweepAndExists is a reference conjoin-and-quantify independent of the
+// quant schedule: one running product over the conjuncts in order, each
+// variable quantified at its last occurrence. Over every conjunct of a
+// design, quant.Naive's unquantified product blows up (mdlc2, philos-4)
+// and the schedule's per-step bookkeeping costs more than the BDD work.
+func sweepAndExists(m *bdd.Manager, conjuncts []quant.Conjunct, quantify []int) bdd.Ref {
+	last := map[int]int{}
+	for _, v := range quantify {
+		last[v] = -1
+	}
+	for i, c := range conjuncts {
+		for _, v := range c.Support {
+			if _, ok := last[v]; ok {
+				last[v] = i
+			}
+		}
+	}
+	prod := bdd.True
+	for i, c := range conjuncts {
+		var dying []int
+		for _, v := range c.Support {
+			if l, ok := last[v]; ok && l == i {
+				dying = append(dying, v)
+			}
+		}
+		sort.Ints(dying)
+		prod = m.AndExists(prod, c.F, m.Cube(dying))
+	}
+	return prod
+}
+
 // allConjunctLabels returns the reference labels of every value of a
 // combinational variable: every relation conjoined, every variable off
 // the present-state rail quantified. The relation is projected onto the
@@ -29,9 +60,7 @@ func allConjunctLabels(n *Network, name string) []bdd.Ref {
 			qvars = append(qvars, b)
 		}
 	}
-	// Linear: over all conjuncts, MinWidth's per-step bookkeeping costs
-	// more than the BDD work.
-	proj := quant.AndExists(n.mgr, n.conjuncts, qvars, quant.Linear)
+	proj := sweepAndExists(n.mgr, n.conjuncts, qvars)
 	labels := make([]bdd.Ref, v.Card())
 	for idx := range labels {
 		labels[idx] = n.mgr.AndExists(proj, v.Eq(idx), v.Cube())

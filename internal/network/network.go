@@ -29,8 +29,6 @@ import (
 
 // Options configures symbolic compilation.
 type Options struct {
-	// Heuristic selects the early-quantification scheduler.
-	Heuristic quant.Heuristic
 	// Order optionally fixes the MDD variable creation order (variable
 	// names of the flat model). Default: order.Compute.
 	Order []string
@@ -38,9 +36,6 @@ type Options struct {
 	// replays the network's plan over the partitioned relation
 	// (Ablation F) until EnsureT builds T.
 	SkipMonolithic bool
-	// NaiveQuantification disables early quantification and builds the
-	// full conjunction before quantifying (Ablation A baseline).
-	NaiveQuantification bool
 	// ClusterLimit bounds the BDD size of one merged conjunct cluster in
 	// the precompiled image pipeline (0 = quant.DefaultClusterLimit).
 	ClusterLimit int
@@ -113,9 +108,6 @@ type Network struct {
 	T    bdd.Ref
 	Init bdd.Ref
 
-	heur  quant.Heuristic
-	naive bool
-
 	tBuilt bool // T holds the monolithic relation (see EnsureT)
 
 	labels labelCones // cone-local LabelEq state (label.go)
@@ -130,7 +122,6 @@ func Build(flat *blifmv.Model, opts Options) (*Network, error) {
 	n := &Network{
 		mgr:   bdd.New(),
 		model: flat,
-		heur:  opts.Heuristic,
 	}
 	if opts.Telemetry != nil {
 		n.mgr.SetTelemetry(opts.Telemetry)
@@ -300,7 +291,6 @@ func Build(flat *blifmv.Model, opts Options) (*Network, error) {
 	n.clusterLimit = opts.ClusterLimit
 
 	// Product transition relation.
-	n.naive = opts.NaiveQuantification
 	if opts.SkipMonolithic {
 		n.T = bdd.False
 	} else {
@@ -396,9 +386,7 @@ func (n *Network) ImageClusters() []quant.Conjunct {
 func (n *Network) TBuilt() bool { return n.tBuilt }
 
 func (n *Network) buildT() {
-	if n.naive {
-		n.T = quant.Naive(n.mgr, n.conjuncts, n.nonState)
-	} else if n.IsoWorthwhile() {
+	if n.IsoWorthwhile() {
 		// T is the reference the iso-merged plan is tested against, so
 		// it never comes from the iso clusters: cluster the raw
 		// conjuncts in a throwaway set and finish T from that.
@@ -406,7 +394,7 @@ func (n *Network) buildT() {
 		for _, c := range cl {
 			n.mgr.IncRef(c.F)
 		}
-		n.T = quant.AndExists(n.mgr, cl, n.nonState, n.heur)
+		n.T = quant.AndExists(n.mgr, cl, n.nonState)
 		for _, c := range cl {
 			n.mgr.DecRef(c.F)
 		}
@@ -414,7 +402,7 @@ func (n *Network) buildT() {
 		// The clusters already absorbed the locally-quantifiable
 		// non-state variables; finish from them instead of redoing the
 		// full schedule over raw conjuncts.
-		n.T = quant.AndExists(n.mgr, n.ImageClusters(), n.nonState, n.heur)
+		n.T = quant.AndExists(n.mgr, n.ImageClusters(), n.nonState)
 	}
 	n.tBuilt = true
 }
@@ -545,9 +533,6 @@ func (n *Network) Conjuncts() []quant.Conjunct { return n.conjuncts }
 
 // NonStateBits returns the BDD variable IDs quantified out of T.
 func (n *Network) NonStateBits() []int { return n.nonState }
-
-// Heuristic returns the early-quantification heuristic in use.
-func (n *Network) Heuristic() quant.Heuristic { return n.heur }
 
 // VarByName resolves a model variable to its MDD variable, or nil.
 func (n *Network) VarByName(name string) *mdd.Var { return n.space.ByName(name) }

@@ -22,7 +22,7 @@ const DefaultClusterLimit = 5000
 
 // Clusters greedily merges conjuncts into clusters whose BDDs stay under
 // limit nodes (a single conjunct larger than limit stays a cluster of
-// its own). The merge order is the consumption order of the MinWidth
+// its own). The merge order is the consumption order of the Plan
 // schedule over preQuantify (the variables every later quantification
 // will eliminate regardless of direction — the non-state variables, for
 // a transition relation). Any preQuantify variable whose occurrences all
@@ -117,11 +117,11 @@ func Clusters(m *bdd.Manager, conjuncts []Conjunct, preQuantify []int, limit int
 	return out
 }
 
-// mergeOrder derives a conjunct order from the MinWidth plan: conjuncts
+// mergeOrder derives a conjunct order from the Plan schedule: conjuncts
 // appear in the order the schedule consumes them, so conjuncts sharing
 // soon-to-die variables end up adjacent and merge into the same cluster.
 func mergeOrder(conjuncts []Conjunct, quantify []int) []int {
-	sched := planMinWidth(conjuncts, quantify)
+	sched := Plan(conjuncts, quantify)
 	order := make([]int, 0, len(conjuncts))
 	seen := make([]bool, len(conjuncts))
 	take := func(is []int) {
@@ -163,8 +163,8 @@ type CompiledPlan struct {
 	Tail bdd.Ref
 }
 
-// Compile orders the clusters greedily (minimizing the predicted live
-// support width after each step, the MinWidth criterion) and assigns
+// Compile orders the clusters greedily by an IWLS95-style benefit score
+// (favouring clusters whose quantifiable support dies with them) and assigns
 // every quantifiable variable to the step of its last occurrence. The
 // seed — the state set a later Run conjoins first — is represented by
 // its support alone.

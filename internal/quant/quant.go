@@ -5,16 +5,13 @@
 // be quantified out of a partial product as soon as no *other* remaining
 // conjunct depends on it.
 //
-// Two scheduling heuristics are provided, mirroring the "two different
-// packages for this problem" the paper mentions (ref [14]):
-//
-//   - MinWidth: bucket-elimination style. Repeatedly eliminate the
-//     quantifiable variable whose conjunct cluster has the smallest
-//     combined support, conjoin that cluster, and quantify every
-//     variable local to it.
-//   - Linear: order the conjuncts, sweep left to right keeping one
-//     running product, and quantify each variable at its last
-//     occurrence (the classic linear "IWLS-95" style schedule).
+// There is one schedule, computed by Plan from the conjuncts' supports
+// alone (bucket-elimination style): repeatedly eliminate the
+// quantifiable variable whose conjunct cluster has the smallest combined
+// support, conjoin that cluster, and quantify every variable local to
+// it. AndExists executes that plan. Naive, which builds the full
+// conjunction before quantifying, is the reference it is tested and
+// benchmarked against (Ablation A).
 package quant
 
 import (
@@ -31,238 +28,77 @@ type Conjunct struct {
 	Support []int
 }
 
-// Heuristic selects the scheduling strategy.
-type Heuristic int
-
-const (
-	// MinWidth eliminates the variable with the smallest cluster width.
-	MinWidth Heuristic = iota
-	// Linear sweeps the conjuncts in order with one running product.
-	Linear
-)
-
-func (h Heuristic) String() string {
-	switch h {
-	case MinWidth:
-		return "minwidth"
-	case Linear:
-		return "linear"
-	default:
-		return "unknown"
+// AndExists conjoins all conjuncts and existentially quantifies the
+// variables in quantify, following the early-quantification schedule
+// Plan computes. It is semantically equivalent to (but usually far
+// cheaper than) building the monolithic conjunction and quantifying at
+// the end.
+//
+// Each step multiplies its operands smallest predicted support first
+// (ties broken by operand index: conjunct i is i, step s is
+// len(conjuncts)+s) and fuses the last multiplication with the step's
+// quantification; the surviving operands are then conjoined in index
+// order.
+func AndExists(m *bdd.Manager, conjuncts []Conjunct, quantify []int) bdd.Ref {
+	sched := Plan(conjuncts, quantify)
+	n := len(conjuncts)
+	results := make([]bdd.Ref, len(sched.Steps))
+	type operand struct {
+		f            bdd.Ref
+		width, index int
 	}
+	var ops []operand
+	for s, st := range sched.Steps {
+		cube := m.Cube(st.Quantify)
+		ops = ops[:0]
+		for _, i := range st.Inputs {
+			ops = append(ops, operand{conjuncts[i].F, distinct(conjuncts[i].Support), i})
+		}
+		for _, p := range st.PrevSteps {
+			ops = append(ops, operand{results[p], sched.Steps[p].Width, n + p})
+		}
+		sort.Slice(ops, func(a, b int) bool {
+			if ops[a].width != ops[b].width {
+				return ops[a].width < ops[b].width
+			}
+			return ops[a].index < ops[b].index
+		})
+		prod := bdd.True
+		for k, op := range ops {
+			if k == len(ops)-1 {
+				prod = m.AndExists(prod, op.f, cube)
+			} else {
+				prod = m.And(prod, op.f)
+			}
+		}
+		results[s] = prod
+	}
+	res := bdd.True
+	for _, i := range sched.Final.Inputs {
+		res = m.And(res, conjuncts[i].F)
+	}
+	for _, p := range sched.Final.PrevSteps {
+		res = m.And(res, results[p])
+	}
+	return res
 }
 
-// AndExists conjoins all conjuncts and existentially quantifies the
-// variables in quantify, using heuristic h to schedule the work. It is
-// semantically equivalent to (but usually far cheaper than) building the
-// monolithic conjunction and quantifying at the end.
-func AndExists(m *bdd.Manager, conjuncts []Conjunct, quantify []int, h Heuristic) bdd.Ref {
-	switch h {
-	case Linear:
-		return linearAndExists(m, conjuncts, quantify)
-	default:
-		return minWidthAndExists(m, conjuncts, quantify)
+// distinct counts the distinct variables of a support list.
+func distinct(support []int) int {
+	seen := make(map[int]bool, len(support))
+	for _, v := range support {
+		seen[v] = true
 	}
+	return len(seen)
 }
 
 // Naive builds the full conjunction first and quantifies afterwards. It
-// exists as the baseline for Ablation A.
+// is the reference AndExists is tested against and the baseline of
+// Ablation A.
 func Naive(m *bdd.Manager, conjuncts []Conjunct, quantify []int) bdd.Ref {
 	prod := bdd.True
 	for _, c := range conjuncts {
 		prod = m.And(prod, c.F)
 	}
 	return m.Exists(prod, m.Cube(quantify))
-}
-
-type cluster struct {
-	f       bdd.Ref
-	support map[int]bool
-	dead    bool
-}
-
-func newCluster(c Conjunct) *cluster {
-	s := make(map[int]bool, len(c.Support))
-	for _, v := range c.Support {
-		s[v] = true
-	}
-	return &cluster{f: c.F, support: s}
-}
-
-func minWidthAndExists(m *bdd.Manager, conjuncts []Conjunct, quantify []int) bdd.Ref {
-	clusters := make([]*cluster, 0, len(conjuncts))
-	for _, c := range conjuncts {
-		clusters = append(clusters, newCluster(c))
-	}
-	qset := make(map[int]bool, len(quantify))
-	for _, v := range quantify {
-		qset[v] = true
-	}
-	for {
-		v, members := pickMinWidthVar(clusters, qset)
-		if v < 0 {
-			break
-		}
-		merged := mergeCluster(m, clusters, members, qset)
-		clusters = append(clusters, merged)
-	}
-	// Conjoin survivors (no quantifiable variables remain in any).
-	res := bdd.True
-	for _, c := range clusters {
-		if !c.dead {
-			res = m.And(res, c.f)
-		}
-	}
-	return res
-}
-
-// pickMinWidthVar returns the quantifiable variable whose cluster of
-// live conjuncts has the smallest combined support, with its member
-// indices; (-1, nil) when no quantifiable variable occurs anywhere.
-func pickMinWidthVar(clusters []*cluster, qset map[int]bool) (int, []int) {
-	occ := make(map[int][]int) // var -> cluster indices
-	for i, c := range clusters {
-		if c.dead {
-			continue
-		}
-		for v := range c.support {
-			if qset[v] {
-				occ[v] = append(occ[v], i)
-			}
-		}
-	}
-	bestVar, bestWidth := -1, int(^uint(0)>>1)
-	var bestMembers []int
-	vars := make([]int, 0, len(occ))
-	for v := range occ {
-		vars = append(vars, v)
-	}
-	sort.Ints(vars) // deterministic tie-breaking
-	for _, v := range vars {
-		width := clusterWidth(clusters, occ[v])
-		if width < bestWidth {
-			bestVar, bestWidth, bestMembers = v, width, occ[v]
-		}
-	}
-	return bestVar, bestMembers
-}
-
-func clusterWidth(clusters []*cluster, members []int) int {
-	union := make(map[int]bool)
-	for _, i := range members {
-		for v := range clusters[i].support {
-			union[v] = true
-		}
-	}
-	return len(union)
-}
-
-// mergeCluster conjoins the member clusters and quantifies out every
-// quantifiable variable that occurs in no other live cluster.
-func mergeCluster(m *bdd.Manager, clusters []*cluster, members []int, qset map[int]bool) *cluster {
-	support := make(map[int]bool)
-	for _, i := range members {
-		for v := range clusters[i].support {
-			support[v] = true
-		}
-	}
-	// Find variables local to this merge.
-	var local []int
-	for v := range support {
-		if !qset[v] {
-			continue
-		}
-		external := false
-		for j, c := range clusters {
-			if c.dead || isMember(members, j) {
-				continue
-			}
-			if c.support[v] {
-				external = true
-				break
-			}
-		}
-		if !external {
-			local = append(local, v)
-		}
-	}
-	sort.Ints(local)
-	cube := m.Cube(local)
-	// Multiply members smallest-support-first, fusing the final AND with
-	// the quantification.
-	ordered := append([]int(nil), members...)
-	sort.Slice(ordered, func(a, b int) bool {
-		sa, sb := len(clusters[ordered[a]].support), len(clusters[ordered[b]].support)
-		if sa != sb {
-			return sa < sb
-		}
-		return ordered[a] < ordered[b]
-	})
-	prod := bdd.True
-	for k, i := range ordered {
-		c := clusters[i]
-		c.dead = true
-		if k == len(ordered)-1 {
-			prod = m.AndExists(prod, c.f, cube)
-		} else {
-			prod = m.And(prod, c.f)
-		}
-	}
-	if len(ordered) == 0 {
-		prod = m.Exists(prod, cube)
-	}
-	for _, v := range local {
-		delete(support, v)
-	}
-	return &cluster{f: prod, support: support}
-}
-
-func isMember(members []int, j int) bool {
-	for _, i := range members {
-		if i == j {
-			return true
-		}
-	}
-	return false
-}
-
-func linearAndExists(m *bdd.Manager, conjuncts []Conjunct, quantify []int) bdd.Ref {
-	qset := make(map[int]bool, len(quantify))
-	for _, v := range quantify {
-		qset[v] = true
-	}
-	// last occurrence index of each quantifiable variable
-	last := make(map[int]int)
-	for i, c := range conjuncts {
-		for _, v := range c.Support {
-			if qset[v] {
-				last[v] = i
-			}
-		}
-	}
-	prod := bdd.True
-	for i, c := range conjuncts {
-		var dying []int
-		for _, v := range c.Support {
-			if qset[v] && last[v] == i {
-				dying = append(dying, v)
-			}
-		}
-		sort.Ints(dying)
-		prod = m.AndExists(prod, c.F, m.Cube(dying))
-	}
-	// Quantifiable variables that occur nowhere are vacuous; those that
-	// occur are gone. Variables in quantify but absent from all supports
-	// need no action.
-	return prod
-}
-
-// SupportsOf computes the BDD support of each conjunct, for callers that
-// do not know it structurally.
-func SupportsOf(m *bdd.Manager, fs []bdd.Ref) []Conjunct {
-	out := make([]Conjunct, len(fs))
-	for i, f := range fs {
-		out[i] = Conjunct{F: f, Support: m.Support(f)}
-	}
-	return out
 }

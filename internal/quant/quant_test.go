@@ -54,28 +54,23 @@ func randomInstance(m *bdd.Manager, rng *rand.Rand, nvars, nconj int) ([]Conjunc
 	return conjuncts, quantify
 }
 
+// TestHeuristicsMatchNaive checks the early-quantification schedule
+// against the naive reference on random instances.
 func TestHeuristicsMatchNaive(t *testing.T) {
 	m := bdd.New()
 	rng := rand.New(rand.NewSource(314))
 	for trial := 0; trial < 60; trial++ {
 		conjuncts, quantify := randomInstance(m, rng, 10, 12)
-		want := Naive(m, conjuncts, quantify)
-		for _, h := range []Heuristic{MinWidth, Linear} {
-			got := AndExists(m, conjuncts, quantify, h)
-			if got != want {
-				t.Fatalf("trial %d: %v disagrees with naive", trial, h)
-			}
+		if got, want := AndExists(m, conjuncts, quantify), Naive(m, conjuncts, quantify); got != want {
+			t.Fatalf("trial %d: AndExists disagrees with naive", trial)
 		}
 	}
 }
 
 func TestEmptyInstance(t *testing.T) {
 	m := bdd.New()
-	if got := AndExists(m, nil, nil, MinWidth); got != bdd.True {
+	if got := AndExists(m, nil, nil); got != bdd.True {
 		t.Fatal("empty conjunction should be True")
-	}
-	if got := AndExists(m, nil, nil, Linear); got != bdd.True {
-		t.Fatal("empty conjunction should be True (linear)")
 	}
 }
 
@@ -85,7 +80,7 @@ func TestQuantifyAbsentVariable(t *testing.T) {
 	cs := []Conjunct{{F: m.And(a, b), Support: []int{0, 1}}}
 	// variable 5 does not exist in any support (create it so Cube works)
 	m.NewVars(4)
-	got := AndExists(m, cs, []int{5}, MinWidth)
+	got := AndExists(m, cs, []int{5})
 	if got != m.And(a, b) {
 		t.Fatal("quantifying an absent variable must be a no-op")
 	}
@@ -98,10 +93,8 @@ func TestContradictionCollapses(t *testing.T) {
 		{F: a, Support: []int{0}},
 		{F: m.Not(a), Support: []int{0}},
 	}
-	for _, h := range []Heuristic{MinWidth, Linear} {
-		if got := AndExists(m, cs, nil, h); got != bdd.False {
-			t.Fatalf("%v: contradiction should be False", h)
-		}
+	if got := AndExists(m, cs, nil); got != bdd.False {
+		t.Fatal("contradiction should be False")
 	}
 }
 
@@ -121,36 +114,8 @@ func TestChainEliminationKeepsProductsSmall(t *testing.T) {
 	for i := 1; i < n-1; i++ {
 		quantify = append(quantify, i)
 	}
-	got := AndExists(m, cs, quantify, MinWidth)
-	want := m.Equiv(vs[0], vs[n-1])
-	if got != want {
+	if got := AndExists(m, cs, quantify); got != m.Equiv(vs[0], vs[n-1]) {
 		t.Fatal("chain elimination wrong result")
-	}
-	got = AndExists(m, cs, quantify, Linear)
-	if got != want {
-		t.Fatal("chain elimination wrong result (linear)")
-	}
-}
-
-func TestSupportsOf(t *testing.T) {
-	m := bdd.New()
-	vs := m.NewVars(4)
-	fs := []bdd.Ref{m.And(vs[0], vs[2]), vs[3]}
-	cs := SupportsOf(m, fs)
-	if len(cs[0].Support) != 2 || cs[0].Support[0] != 0 || cs[0].Support[1] != 2 {
-		t.Fatalf("support[0] = %v", cs[0].Support)
-	}
-	if len(cs[1].Support) != 1 || cs[1].Support[0] != 3 {
-		t.Fatalf("support[1] = %v", cs[1].Support)
-	}
-}
-
-func TestHeuristicString(t *testing.T) {
-	if MinWidth.String() != "minwidth" || Linear.String() != "linear" {
-		t.Fatal("Heuristic.String wrong")
-	}
-	if Heuristic(99).String() != "unknown" {
-		t.Fatal("unknown heuristic string wrong")
 	}
 }
 
@@ -158,31 +123,15 @@ func TestDeterminism(t *testing.T) {
 	m := bdd.New()
 	rng := rand.New(rand.NewSource(1))
 	conjuncts, quantify := randomInstance(m, rng, 12, 15)
-	a := AndExists(m, conjuncts, quantify, MinWidth)
-	b := AndExists(m, conjuncts, quantify, MinWidth)
+	a := AndExists(m, conjuncts, quantify)
+	b := AndExists(m, conjuncts, quantify)
 	if a != b {
-		t.Fatal("MinWidth schedule not deterministic")
-	}
-}
-
-func TestPlanExecuteMatchesAndExists(t *testing.T) {
-	m := bdd.New()
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 40; trial++ {
-		conjuncts, quantify := randomInstance(m, rng, 10, 12)
-		want := Naive(m, conjuncts, quantify)
-		for _, h := range []Heuristic{MinWidth, Linear} {
-			sched := Plan(conjuncts, quantify, h)
-			got := Execute(m, conjuncts, sched)
-			if got != want {
-				t.Fatalf("trial %d: Execute(Plan(%v)) disagrees with naive", trial, h)
-			}
-		}
+		t.Fatal("schedule not deterministic")
 	}
 }
 
 func TestPlanChainWidthLinearInLength(t *testing.T) {
-	// the chain instance from TestChainElimination: min-width schedules
+	// the chain instance from TestChainElimination: the schedule must
 	// keep every intermediate width at 2 (one live variable pair).
 	const n = 24
 	conjuncts := make([]Conjunct, 0, n-1)
@@ -193,7 +142,7 @@ func TestPlanChainWidthLinearInLength(t *testing.T) {
 	for i := 1; i < n-1; i++ {
 		quantify = append(quantify, i)
 	}
-	sched := Plan(conjuncts, quantify, MinWidth)
+	sched := Plan(conjuncts, quantify)
 	if sched.MaxWidth > 3 {
 		t.Fatalf("chain elimination width = %d, want ≤ 3", sched.MaxWidth)
 	}
@@ -219,13 +168,12 @@ func TestPlanStringAndWidths(t *testing.T) {
 		{F: bdd.True, Support: []int{0, 1}},
 		{F: bdd.True, Support: []int{1, 2}},
 	}
-	sched := Plan(conjuncts, []int{1}, MinWidth)
+	sched := Plan(conjuncts, []int{1})
 	s := sched.String()
-	if !strings.Contains(s, "max width 3") {
+	if !strings.Contains(s, "schedule: 1 steps, max width 3") {
 		t.Fatalf("schedule: %s", s)
 	}
-	lin := Plan(conjuncts, []int{1}, Linear)
-	if lin.MaxWidth != 3 {
-		t.Fatalf("linear width = %d", lin.MaxWidth)
+	if st := sched.Steps[0]; st.Width != 2 || len(st.Quantify) != 1 || st.Quantify[0] != 1 {
+		t.Fatalf("step 0 = %+v, want width 2 quantifying [1]", st)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"hsis/internal/bdd"
 )
 
 // Step is one entry of an early-quantification schedule: conjoin the
@@ -24,12 +22,11 @@ type Step struct {
 }
 
 // Schedule is a complete multiply-and-quantify plan, computed purely
-// from the conjuncts' supports — the artifact the paper's heuristic
-// procedures produce ("an automatic procedure that gives a schedule of
-// how to multiply and quantify out variables").
+// from the conjuncts' supports — the artifact of the paper's "automatic
+// procedure that gives a schedule of how to multiply and quantify out
+// variables".
 type Schedule struct {
-	Heuristic Heuristic
-	Steps     []Step
+	Steps []Step
 	// MaxWidth is the largest predicted intermediate support.
 	MaxWidth int
 	// Final lists the operands of the final conjunction: original
@@ -41,7 +38,7 @@ type Schedule struct {
 // String renders a compact description of the plan.
 func (s *Schedule) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "schedule(%s): %d steps, max width %d\n", s.Heuristic, len(s.Steps), s.MaxWidth)
+	fmt.Fprintf(&sb, "schedule: %d steps, max width %d\n", len(s.Steps), s.MaxWidth)
 	for i, st := range s.Steps {
 		fmt.Fprintf(&sb, "  step %d: conjuncts %v + steps %v, quantify %v (width %d)\n",
 			i, st.Inputs, st.PrevSteps, st.Quantify, st.Width)
@@ -58,18 +55,14 @@ type planItem struct {
 	dead     bool
 }
 
-// Plan computes an early-quantification schedule from supports alone.
-func Plan(conjuncts []Conjunct, quantify []int, h Heuristic) *Schedule {
-	switch h {
-	case Linear:
-		return planLinear(conjuncts, quantify)
-	default:
-		return planMinWidth(conjuncts, quantify)
-	}
-}
-
-func planMinWidth(conjuncts []Conjunct, quantify []int) *Schedule {
-	sched := &Schedule{Heuristic: MinWidth}
+// Plan computes the early-quantification schedule from supports alone:
+// while some quantifiable variable occurs in a live operand, it picks
+// the one whose operands have the smallest combined support (ties to
+// the lowest variable ID), merges those operands into one step and
+// quantifies every quantifiable variable no other live operand
+// mentions.
+func Plan(conjuncts []Conjunct, quantify []int) *Schedule {
+	sched := &Schedule{}
 	items := make([]*planItem, 0, len(conjuncts))
 	for i, c := range conjuncts {
 		sup := make(map[int]bool, len(c.Support))
@@ -148,7 +141,9 @@ func planMinWidth(conjuncts []Conjunct, quantify []int) *Schedule {
 	return sched
 }
 
-// pickMinWidthItem mirrors pickMinWidthVar over plan items.
+// pickMinWidthItem returns the quantifiable variable whose live items
+// have the smallest combined support, with their indices; (-1, nil)
+// when no quantifiable variable occurs in a live item.
 func pickMinWidthItem(items []*planItem, qset map[int]bool) (int, []int) {
 	occ := map[int][]int{}
 	for i, it := range items {
@@ -190,81 +185,11 @@ func pickMinWidthItem(items []*planItem, qset map[int]bool) (int, []int) {
 	return bestVar, bestMembers
 }
 
-func planLinear(conjuncts []Conjunct, quantify []int) *Schedule {
-	sched := &Schedule{Heuristic: Linear}
-	qset := make(map[int]bool, len(quantify))
-	for _, v := range quantify {
-		qset[v] = true
-	}
-	last := map[int]int{}
-	for i, c := range conjuncts {
-		for _, v := range c.Support {
-			if qset[v] {
-				last[v] = i
-			}
+func isMember(members []int, j int) bool {
+	for _, i := range members {
+		if i == j {
+			return true
 		}
 	}
-	running := map[int]bool{}
-	for i, c := range conjuncts {
-		st := Step{Inputs: []int{i}}
-		if i > 0 {
-			st.PrevSteps = []int{i - 1}
-		}
-		for _, v := range c.Support {
-			running[v] = true
-		}
-		if w := len(running); w > sched.MaxWidth {
-			sched.MaxWidth = w
-		}
-		for _, v := range c.Support {
-			if qset[v] && last[v] == i {
-				st.Quantify = append(st.Quantify, v)
-			}
-		}
-		sort.Ints(st.Quantify)
-		for _, v := range st.Quantify {
-			delete(running, v)
-		}
-		st.Width = len(running)
-		sched.Steps = append(sched.Steps, st)
-	}
-	if n := len(conjuncts); n > 0 {
-		sched.Final.PrevSteps = []int{n - 1}
-	}
-	return sched
-}
-
-// Execute runs a schedule against the actual BDDs. For schedules from
-// Plan over the same conjunct list, Execute(Plan(...)) computes the
-// same function as AndExists.
-func Execute(m *bdd.Manager, conjuncts []Conjunct, sched *Schedule) bdd.Ref {
-	results := make([]bdd.Ref, len(sched.Steps))
-	runStep := func(st Step) bdd.Ref {
-		// multiply smallest-first to keep intermediates small
-		var ops []bdd.Ref
-		for _, i := range st.Inputs {
-			ops = append(ops, conjuncts[i].F)
-		}
-		for _, s := range st.PrevSteps {
-			ops = append(ops, results[s])
-		}
-		sort.Slice(ops, func(a, b int) bool { return ops[a] < ops[b] })
-		cube := m.Cube(st.Quantify)
-		prod := bdd.True
-		for k, f := range ops {
-			if k == len(ops)-1 {
-				prod = m.AndExists(prod, f, cube)
-			} else {
-				prod = m.And(prod, f)
-			}
-		}
-		if len(ops) == 0 {
-			prod = m.Exists(prod, cube)
-		}
-		return prod
-	}
-	for i, st := range sched.Steps {
-		results[i] = runStep(st)
-	}
-	return runStep(sched.Final)
+	return false
 }

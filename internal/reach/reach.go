@@ -1,8 +1,8 @@
 // Package reach implements symbolic image/preimage computation and
 // reachability over a compiled network, including the clustered
-// partitioned transition relation (paper §8 item 4) and the bounded
-// "few reachability steps" primitive behind early failure detection
-// (paper §5.4).
+// partitioned transition relation (paper §8 item 4) and the per-step
+// Stop hook behind early failure detection (paper §5.4), which ctl's
+// invariance path runs.
 package reach
 
 import (
@@ -25,9 +25,6 @@ func Preimage(n *network.Network, s bdd.Ref) bdd.Ref {
 
 // Options controls a reachability run.
 type Options struct {
-	// MaxSteps bounds the number of image computations (0 = unbounded).
-	// Early failure detection runs with a small bound (paper §5.4).
-	MaxSteps int
 	// Engine selects the image-computation strategy (EngineAuto picks
 	// monolithic when T is built, the network's plan otherwise). Only
 	// tests force a kind.
@@ -36,9 +33,10 @@ type Options struct {
 	// reconstruction ("onion rings").
 	KeepRings bool
 	// Stop, if non-nil, is evaluated after each step on the set reached
-	// so far; returning true ends the traversal early. This is the hook
-	// used by early failure detection: "if the property fails on a
-	// subset of reachable states, then it fails on the whole set".
+	// so far (the initial set first); returning true ends the traversal
+	// early. ctl's invariance path uses it for early failure detection:
+	// "if the property fails on a subset of reachable states, then it
+	// fails on the whole set".
 	Stop func(reached bdd.Ref) bool
 }
 
@@ -93,9 +91,6 @@ func ForwardFrom(n *network.Network, from bdd.Ref, opts Options) *Result {
 		return res
 	}
 	for frontier != bdd.False {
-		if opts.MaxSteps > 0 && res.Steps >= opts.MaxSteps {
-			return res
-		}
 		// Cancellation check at the same safe point the reorder/GC
 		// machinery uses: a cancelled or timed-out job unwinds here via
 		// ErrInterrupted instead of finishing the fixpoint.
@@ -205,28 +200,4 @@ func IterFields(m *bdd.Manager, step int, frontier, reached bdd.Ref) []telemetry
 	return []telemetry.Field{telemetry.Int("step", step),
 		telemetry.Int("frontier_nodes", fn),
 		telemetry.Int("reached_nodes", m.NodeCount(reached))}
-}
-
-// EarlyFailure runs the bounded-depth property check of paper §5.4: take
-// a few reachability steps and test whether bad states are already
-// reachable. It returns the step at which a bad state first appears, or
-// -1 if none is seen within maxSteps.
-func EarlyFailure(n *network.Network, bad bdd.Ref, maxSteps int) int {
-	m := n.Manager()
-	step := -1
-	count := 0
-	m.IncRef(bad) // the Stop closure reads bad across reorder safe points
-	defer m.DecRef(bad)
-	ForwardFrom(n, n.Init, Options{
-		MaxSteps: maxSteps,
-		Stop: func(reached bdd.Ref) bool {
-			if m.And(reached, bad) != bdd.False {
-				step = count
-				return true
-			}
-			count++
-			return false
-		},
-	})
-	return step
 }

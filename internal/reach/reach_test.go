@@ -140,17 +140,6 @@ func TestPartitionedMatchesMonolithic(t *testing.T) {
 	}
 }
 
-func TestMaxStepsBounds(t *testing.T) {
-	n := compile(t, counter4, network.Options{})
-	res := Forward(n, Options{MaxSteps: 1})
-	if res.Converged {
-		t.Fatal("should not converge in one step")
-	}
-	if got := n.NumStates(res.Reached); got != 2 {
-		t.Fatalf("after 1 step reached %v states, want 2", got)
-	}
-}
-
 func TestRings(t *testing.T) {
 	n := compile(t, counter4, network.Options{})
 	res := Forward(n, Options{KeepRings: true})
@@ -209,24 +198,5 @@ func TestBackward(t *testing.T) {
 	want := m.Or(s.Eq(0), s.Eq(4))
 	if m.And(back, s.Domain()) != want {
 		t.Fatal("care-restricted backward reach wrong")
-	}
-}
-
-func TestEarlyFailure(t *testing.T) {
-	n := compile(t, counter4, network.Options{})
-	s := n.VarByName("s")
-	// state 2 first appears after 2 steps
-	if got := EarlyFailure(n, s.Eq(2), 10); got != 2 {
-		t.Fatalf("EarlyFailure depth = %d, want 2", got)
-	}
-	// initial state is bad: detected at step 0
-	if got := EarlyFailure(n, s.Eq(0), 10); got != 0 {
-		t.Fatalf("EarlyFailure depth = %d, want 0", got)
-	}
-	// unreachable bad state: -1
-	n5 := compile(t, gated5, network.Options{})
-	s5 := n5.VarByName("s")
-	if got := EarlyFailure(n5, s5.Eq(4), 50); got != -1 {
-		t.Fatalf("EarlyFailure on unreachable = %d, want -1", got)
 	}
 }

@@ -63,7 +63,7 @@ func (s *Simulator) StepWith(constraint bdd.Ref) {
 		quant.Conjunct{F: s.current, Support: s.N.PSBits()},
 		quant.Conjunct{F: constraint, Support: m.Support(constraint)})
 	qvars := append(append([]int(nil), s.N.NonStateBits()...), s.N.PSBits()...)
-	next := quant.AndExists(m, conjs, qvars, s.N.Heuristic())
+	next := quant.AndExists(m, conjs, qvars)
 	s.push()
 	s.current = m.IncRef(s.N.SwapRails(next))
 	s.emitStep(true)
