@@ -1,23 +1,33 @@
 # Developer convenience targets. `make check` is the full pre-commit
-# gate: formatting, vet, build, race-enabled tests (which cover the armed-telemetry
+# gate: formatting, vet (of this module and the hsisbench module), build,
+# the dead-code scan, race-enabled tests (which cover the armed-telemetry
 # paths, including the background live-node sampler), a one-iteration
 # smoke run of the kernel benchmarks, and a traced end-to-end shell run.
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-server lint-metrics bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke bench bench-server bench-reorder bench-iso bench-all
+.PHONY: check fmt vet build deadcode test test-server lint-metrics bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke bench bench-server bench-reorder bench-iso bench-all
 
-check: fmt vet build test test-server lint-metrics bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke
+check: fmt vet build deadcode test test-server lint-metrics bench-smoke bench-iso-smoke bench-reorder-smoke trace-smoke
 
 # Fails when any Go file is not gofmt-clean, listing the offenders.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# hsisbench is a separate module that `./...` does not reach; vetting it
+# compiles it, so an API change that breaks the benchmark fails here.
 vet:
 	$(GO) vet ./...
+	cd hsisbench && $(GO) vet .
 
 build:
 	$(GO) build ./...
+
+# Fails on any function under internal/ that no entry point (cmd/*,
+# examples/*, internal/tools/*, hsisbench) links and that
+# internal/tools/deadcode/allow.txt does not list with a reason.
+deadcode:
+	$(GO) run ./internal/tools/deadcode
 
 # -race covers what still runs concurrently: the hsisd job pool and the
 # telemetry layer (the tracer tests arm a process-wide sink and run the

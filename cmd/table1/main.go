@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/big"
 	"os"
 	"strings"
 	"time"
@@ -26,7 +27,7 @@ type row struct {
 	VerilogLines int
 	BlifmvLines  int
 	ReadTime     time.Duration
-	States       float64
+	States       *big.Int
 	LCProps      int
 	LCTime       time.Duration
 	CTLProps     int
@@ -52,7 +53,7 @@ func measure(name string, opts core.Options) (*row, error) {
 		VerilogLines: w.VerilogLines,
 		BlifmvLines:  w.BlifmvLines,
 		ReadTime:     w.ReadTime,
-		States:       w.ReachableStates(),
+		States:       w.ReachableStatesExact(),
 	}
 	for _, a := range w.Automata {
 		res := w.CheckLC(a)
@@ -164,7 +165,7 @@ func main() {
 		if len(r.Failed) > 0 {
 			note = "  (expected failures: " + strings.Join(r.Failed, ", ") + ")"
 		}
-		fmt.Printf("%-10s %8d %8d %12.2f %12.0f %5d %12.2f %5d %12.2f%s\n",
+		fmt.Printf("%-10s %8d %8d %12.2f %12s %5d %12.2f %5d %12.2f%s\n",
 			r.Name, r.VerilogLines, r.BlifmvLines,
 			ms(r.ReadTime), r.States,
 			r.LCProps, ms(r.LCTime),

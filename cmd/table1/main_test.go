@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math/big"
 	"testing"
 
 	"hsis/internal/core"
@@ -11,8 +12,8 @@ func TestMeasurePingpong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.States < 3 || r.States > 6 {
-		t.Fatalf("states = %v", r.States)
+	if r.States.Cmp(big.NewInt(4)) != 0 {
+		t.Fatalf("states = %v, want 4", r.States)
 	}
 	if r.LCProps != 6 || r.CTLProps != 6 {
 		t.Fatalf("props = %d lc, %d ctl; Table 1 wants 6+6", r.LCProps, r.CTLProps)

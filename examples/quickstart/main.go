@@ -52,8 +52,8 @@ func main() {
 	if err := w.AddPIFString(props, "handshake.pif"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("design %s: %d latches, %.0f reachable states\n",
-		w.Name, len(w.Net.Latches()), w.ReachableStates())
+	fmt.Printf("design %s: %d latches, %s reachable states\n",
+		w.Name, len(w.Net.Latches()), w.ReachableStatesExact())
 	for _, r := range w.VerifyAll() {
 		if r.Err != nil {
 			log.Fatalf("%s: %v", r.Name, r.Err)

@@ -148,10 +148,10 @@ type Manager struct {
 	marks   []uint64 // reusable mark bitmap, one bit per node slot
 	counted []uint64 // NodeCount's bitmap, all zero between calls
 
-	// Reusable rebuild memo (Permute/Compose/VectorCompose): indexed by
-	// stored-node id, validated by an epoch stamp so calls never clear
-	// it. memoLast (stored nodes visited by the previous rebuild) picks
-	// between this and a plain map per call; see subst.go.
+	// Reusable rebuild memo (Permute): indexed by stored-node id,
+	// validated by an epoch stamp so calls never clear it. memoLast
+	// (stored nodes visited by the previous rebuild) picks between this
+	// and a plain map per call; see subst.go.
 	memoVal   []Ref
 	memoStamp []uint32
 	memoEpoch uint32

@@ -184,39 +184,6 @@ func TestPermute(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	m := New()
-	a, b, c := m.NewVar(), m.NewVar(), m.NewVar()
-	f := m.Xor(a, b)
-	// f[b := b&c] = a XOR (b&c)
-	got := m.Compose(f, 1, m.And(b, c))
-	want := m.Xor(a, m.And(b, c))
-	if got != want {
-		t.Fatal("Compose mismatch")
-	}
-	// substituting a constant
-	if m.Compose(f, 1, True) != m.Not(a) {
-		t.Fatal("Compose with constant failed")
-	}
-	// substituting a variable above the root
-	g := m.Xor(b, c)
-	if m.Compose(g, 2, a) != m.Xor(b, a) {
-		t.Fatal("Compose with higher-level substituent failed")
-	}
-}
-
-func TestVectorComposeSimultaneous(t *testing.T) {
-	m := New()
-	a, b := m.NewVar(), m.NewVar()
-	f := m.And(a, m.Not(b))
-	// simultaneous swap a<->b: result must be b & !a, NOT sequential.
-	got := m.VectorCompose(f, map[int]Ref{0: b, 1: a})
-	want := m.And(b, m.Not(a))
-	if got != want {
-		t.Fatal("VectorCompose is not simultaneous")
-	}
-}
-
 func TestConstrainProperty(t *testing.T) {
 	m := New()
 	vs := m.NewVars(5)
@@ -590,97 +557,6 @@ func TestStatsAfterGC(t *testing.T) {
 	}
 	if s.LiveNodes > s.AllocatedNodes {
 		t.Fatal("live nodes exceed allocation")
-	}
-}
-
-func TestWriteReadBDDsRoundTrip(t *testing.T) {
-	m := New()
-	vs := m.NewVars(6)
-	rng := rand.New(rand.NewSource(11))
-	roots := map[Ref]string{}
-	named := map[string]Ref{}
-	for i := 0; i < 8; i++ {
-		f := randomBDD(m, vs, rng, 4)
-		name := "f" + string(rune('0'+i))
-		named[name] = f
-		roots[f] = name
-	}
-	var sb strings.Builder
-	if err := m.WriteBDDs(&sb, named); err != nil {
-		t.Fatal(err)
-	}
-	// same manager: must map back to identical refs
-	got, err := m.ReadBDDs(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, f := range named {
-		if got[name] != f {
-			t.Fatalf("%s: round trip changed the function", name)
-		}
-	}
-	// fresh manager: semantics must match via Eval
-	m2 := New()
-	got2, err := m2.ReadBDDs(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		asg := make([]bool, 6)
-		for b := 0; b < 6; b++ {
-			asg[b] = i&(1<<b) != 0
-		}
-		for name, f := range named {
-			if m.Eval(f, asg) != m2.Eval(got2[name], asg) {
-				t.Fatalf("%s: semantics changed across managers", name)
-			}
-		}
-	}
-}
-
-func TestReadBDDsErrors(t *testing.T) {
-	m := New()
-	cases := []string{
-		"bdd x\n",
-		"n 2 0 F\n",
-		"n 2 9 F T\nbdd 2\n", // var out of range (no header first)
-		"n 2 0 Q T\nbdd 1\n",
-		"root a 5\n",
-		"frob\n",
-	}
-	for _, src := range cases {
-		if _, err := m.ReadBDDs(strings.NewReader(src)); err == nil {
-			t.Errorf("input %q should fail", src)
-		}
-	}
-	// whitespace in names rejected on write
-	if err := m.WriteBDDs(&strings.Builder{}, map[string]Ref{"a b": True}); err == nil {
-		t.Error("whitespace name should fail")
-	}
-}
-
-func TestWriteReadTerminalsAndShared(t *testing.T) {
-	m := New()
-	a, b := m.NewVar(), m.NewVar()
-	shared := m.And(a, b)
-	named := map[string]Ref{
-		"t":  True,
-		"f":  False,
-		"s1": shared,
-		"s2": m.Or(shared, m.Not(a)),
-	}
-	var sb strings.Builder
-	if err := m.WriteBDDs(&sb, named); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.ReadBDDs(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n, f := range named {
-		if got[n] != f {
-			t.Fatalf("%s mismatched", n)
-		}
 	}
 }
 

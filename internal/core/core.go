@@ -296,17 +296,10 @@ func (w *Workspace) SaveOrder(path string) error {
 	return order.SaveFile(path, order.Snapshot(w.Net.Space()))
 }
 
-// ReachableStates computes (and caches via the checker) the reachable
-// state count — the paper's "# reached states" column.
-func (w *Workspace) ReachableStates() float64 {
-	res := reach.Forward(w.Net, reach.Options{})
-	return w.Net.NumStates(res.Reached)
-}
-
-// ReachableStatesExact is ReachableStates without the float64 rounding:
-// the exact math/big reachable-state count. float64 silently loses
-// precision once a space exceeds 2^53 states, which parameterized
-// designs (philos-64 and up) do comfortably.
+// ReachableStatesExact computes the exact reachable-state count — the
+// paper's "# reached states" column — as a math/big integer: float64
+// would silently lose precision once a space exceeds 2^53 states, which
+// parameterized designs (philos-64 and up) do comfortably.
 func (w *Workspace) ReachableStatesExact() *big.Int {
 	res := reach.Forward(w.Net, reach.Options{})
 	return w.Net.NumStatesExact(res.Reached)

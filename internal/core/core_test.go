@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 
@@ -25,8 +26,8 @@ func loadDesign(t *testing.T, name string, opts Options) *Workspace {
 
 func TestPingpongAllPropertiesPass(t *testing.T) {
 	w := loadDesign(t, "pingpong", Options{})
-	if got := w.ReachableStates(); got < 3 || got > 6 {
-		t.Fatalf("pingpong reached %v states, expected a handful", got)
+	if got := w.ReachableStatesExact(); got.Cmp(big.NewInt(4)) != 0 {
+		t.Fatalf("pingpong reached %v states, want 4", got)
 	}
 	if len(w.Automata) != 6 || len(w.CTLProps) != 6 {
 		t.Fatalf("pingpong: %d LC, %d CTL props; Table 1 wants 6 and 6",

@@ -386,135 +386,3 @@ func TestEarlyDoomedDetection(t *testing.T) {
 		t.Fatalf("want early doom detection, got pass=%v early=%v", res.Pass, res.EarlyDetected)
 	}
 }
-
-// constOne: g stuck at 1
-const constOne = `
-.model constOne
-.table t g
-- 1
-.table t nt
-0 1
-1 0
-.latch nt t
-.reset t
-0
-.end
-`
-
-// ndConstAut: "g is constant": a nondeterministic guess at the first
-// step commits to g=1-forever or g=0-forever.
-const ndConstAut = `
-automaton const_g {
-  states S A B BAD
-  init S
-  edge S A g=1
-  edge S B g=0
-  edge S BAD FALSE
-  edge A A g=1
-  edge A BAD g=0
-  edge B B g=0
-  edge B BAD g=1
-  edge BAD BAD TRUE
-  rabin avoid { BAD } recur { S A B }
-}
-`
-
-func TestDeterminizeSafety(t *testing.T) {
-	n := compile(t, constOne)
-	spec := parseAut(t, ndConstAut, "const_g")
-	// deterministic on these guards actually (S has disjoint guards) —
-	// make it truly nondeterministic by overlapping the initial edges:
-	spec.Edges[0].Guard = ctl.TrueF{} // S -> A on anything
-	spec.Edges[1].Guard = ctl.TrueF{} // S -> B on anything
-	if _, err := Compile(n, spec); err == nil {
-		t.Fatal("direct compilation should reject the nondeterministic automaton")
-	}
-	det, err := DeterminizeSafety(n, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// determinism of the result
-	m := n.Manager()
-	for i := 0; i < len(det.Edges); i++ {
-		for j := i + 1; j < len(det.Edges); j++ {
-			if det.Edges[i].From == det.Edges[j].From &&
-				m.And(det.Edges[i].Guard, det.Edges[j].Guard) != bdd.False {
-				t.Fatal("subset construction produced overlapping guards")
-			}
-		}
-	}
-	// constant-1 design satisfies "g constant"
-	res := Check(NewProduct(n, det), nil, Options{})
-	if !res.Pass {
-		t.Fatal("constant design must satisfy the determinized property")
-	}
-	// alternating design violates it
-	n2 := compile(t, mutexOK) // g1 alternates
-	spec2 := parseAut(t, strings.ReplaceAll(ndConstAut, "g=", "g1="), "const_g")
-	spec2.Edges[0].Guard = ctl.TrueF{}
-	spec2.Edges[1].Guard = ctl.TrueF{}
-	det2, err := DeterminizeSafety(n2, spec2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2 := Check(NewProduct(n2, det2), nil, Options{})
-	if res2.Pass {
-		t.Fatal("alternating design must violate the determinized property")
-	}
-}
-
-func TestDeterminizeSafetyRejectsNonSafety(t *testing.T) {
-	n := compile(t, constOne)
-	// liveness (recurring edge) automaton is not safety-shaped
-	live := parseAut(t, strings.ReplaceAll(liveAut, "s=1", "g=1"), "inf_one")
-	live.Edges[1].Guard = ctl.MustParse("g!=1")
-	if _, err := DeterminizeSafety(n, live); err == nil {
-		t.Fatal("edge acceptance must be rejected")
-	}
-	// escaping avoid state
-	esc := parseAut(t, `
-automaton esc {
-  states G BAD
-  init G
-  edge G G g=1
-  edge G BAD g=0
-  edge BAD G g=1
-  edge BAD BAD g=0
-  rabin avoid { BAD } recur { G }
-}
-`, "esc")
-	if _, err := DeterminizeSafety(n, esc); err == nil || !strings.Contains(err.Error(), "can escape") {
-		t.Fatalf("non-absorbing avoid set must be rejected, got %v", err)
-	}
-}
-
-func TestDeterminizeMatchesCompileOnDeterministicInput(t *testing.T) {
-	// On an already-deterministic safety automaton, Compile and
-	// DeterminizeSafety must agree on every design verdict.
-	n := compile(t, mutexOK)
-	spec := parseAut(t, mutexAut, "never_both")
-	direct, err := Compile(n, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := DeterminizeSafety(n, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := Check(NewProduct(n, direct), nil, Options{})
-	r2 := Check(NewProduct(n, det), nil, Options{})
-	if r1.Pass != r2.Pass {
-		t.Fatalf("verdicts differ: direct=%v determinized=%v", r1.Pass, r2.Pass)
-	}
-	n2 := compile(t, mutexBad)
-	direct2, _ := Compile(n2, spec)
-	det2, err := DeterminizeSafety(n2, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3 := Check(NewProduct(n2, direct2), nil, Options{})
-	r4 := Check(NewProduct(n2, det2), nil, Options{})
-	if r3.Pass || r4.Pass {
-		t.Fatal("both routes must fail on the buggy design")
-	}
-}

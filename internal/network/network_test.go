@@ -311,3 +311,44 @@ func TestPrimaryInputIsFree(t *testing.T) {
 		t.Fatal("primary input not recorded")
 	}
 }
+
+// two independent toggles
+const toggles = `
+.model toggles
+.table a na
+0 1
+1 0
+.table b nb
+0 1
+1 0
+.latch na a
+.reset a
+0
+.latch nb b
+.reset b
+0
+.end
+`
+
+func TestEnsureT(t *testing.T) {
+	n := compile(t, toggles, Options{SkipMonolithic: true})
+	if n.T != bdd.False {
+		t.Fatal("T should be unbuilt")
+	}
+	n.EnsureT()
+	if n.T == bdd.False {
+		t.Fatal("EnsureT did not build T")
+	}
+	tFirst := n.T
+	n.EnsureT() // idempotent
+	if n.T != tFirst {
+		t.Fatal("EnsureT not idempotent")
+	}
+	// matches an eagerly-built network
+	n2 := compile(t, toggles, Options{})
+	c1 := n.Manager().SatCount(n.T, len(n.PSBits())+len(n.NSBits()))
+	c2 := n2.Manager().SatCount(n2.T, len(n2.PSBits())+len(n2.NSBits()))
+	if c1 != c2 {
+		t.Fatalf("lazy T differs: %v vs %v transitions", c1, c2)
+	}
+}

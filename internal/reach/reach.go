@@ -1,8 +1,9 @@
 // Package reach implements symbolic image/preimage computation and
-// reachability over a compiled network, including the clustered
-// partitioned transition relation (paper §8 item 4) and the per-step
-// Stop hook behind early failure detection (paper §5.4), which ctl's
-// invariance path runs.
+// reachability over a compiled network — on the monolithic transition
+// relation T, or by replaying the network's one compiled image plan over
+// its clusters (paper §8 item 4), as the design chooses — and the
+// per-step Stop hook behind early failure detection (paper §5.4), which
+// ctl's invariance path runs.
 package reach
 
 import (

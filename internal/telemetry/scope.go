@@ -133,16 +133,6 @@ func (sc *Scope) LiveNodes() (live, peak int64) {
 	return sc.gaugeLive.Load(), sc.gaugePeak.Load()
 }
 
-// RecordSample forces one timeline sample from the current gauges
-// (emitting a bdd.sample event), e.g. at end of run so the timeline's
-// last point is the final state.
-func (sc *Scope) RecordSample() {
-	if sc.tracer == nil {
-		return
-	}
-	sc.tracer.record(sc.gaugeLive.Load(), sc.gaugePeak.Load(), true)
-}
-
 // DefaultSampleInterval is the sampler cadence when StartSampler is
 // given a non-positive interval.
 const DefaultSampleInterval = 100 * time.Millisecond
